@@ -300,6 +300,8 @@ def cmd_loop(args) -> int:
         raise UsageError("training needs at least one sample per class")
     if args.epochs < 0:
         raise UsageError("epochs must be nonnegative")
+    if args.classes != 2:
+        raise UsageError("training data has two classes: --classes must be 2")
     head = rng.normal_matrix(args.dim, args.classes, 0.1)
     cfg = ls.LoopConfig(spec, args.iters, args.lr, causal=args.causal, head=head)
     if args.mode == "train-single":
@@ -398,6 +400,8 @@ def cmd_bench(args) -> int:
     tokens_list = [int(x) for x in args.tokens_list.split(",") if x.strip()]
     if not tokens_list or any(n < 1 for n in tokens_list):
         raise UsageError("tokens-list must be positive integers")
+    if args.reps < 1:
+        raise UsageError("reps must be >= 1")
     rows, slope = run_bench(args.variant, args.dim, args.heads, tokens_list,
                             args.reps, args.seed)
     config = _config_from(args, ["variant", "dim", "heads", "tokens_list",

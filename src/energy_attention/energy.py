@@ -372,15 +372,47 @@ def grad_weight(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> np.ndarr
 _row_softmax_lse = nk.softmax_lse_rows
 
 
+def _mask_outside_prefix(values: np.ndarray, limit, fill: float) -> np.ndarray:
+    """``values`` (..., Q, N) with entry (q, n) set to ``fill`` for n >= limit[q].
+
+    ``limit=None`` keeps every column. A limit array must hold Q integers
+    in [1, N]: a zero limit would leave a query with no tokens, whose
+    softmax is NaN.
+    """
+    if limit is None:
+        return values
+    queries, tokens = values.shape[-2:]
+    limit = np.asarray(limit)
+    if limit.shape != (queries,) or not np.issubdtype(limit.dtype, np.integer):
+        raise ValueError(f"block limit must be None or an integer array of length "
+                         f"{queries} (one per query), got dtype {limit.dtype} "
+                         f"and shape {limit.shape}")
+    if queries and (limit.min() < 1 or limit.max() > tokens):
+        raise ValueError(f"block limits must lie in [1, {tokens}], got entries from "
+                         f"{limit.min()} to {limit.max()}")
+    return np.where(np.arange(tokens) >= limit[:, None], fill, values)
+
+
 def gradient_engine(spec: EnergySpec, tokens: np.ndarray,
                     convention: str = "strict"):
     """Return ``evaluate(z, limit=None) -> (energy, gradient)``.
 
     Token projections are computed once at construction, which is what
-    matters inside descent and loop iterations; results agree with
-    ``energy_value``/``grad_z`` on the column prefix ``tokens[:, :limit]``
-    up to float reassociation (~1e-15 relative). Raises for pair energies
-    without a precomputable form (kernelized maps).
+    matters inside descent and loop iterations. Two call forms:
+
+    - vector: ``z`` of shape (d,) and ``limit`` None or an int; the query
+      sees ``tokens[:, :limit]`` and the call returns a float and a (d,)
+      gradient;
+    - block: ``z`` of shape d x Q (one query per column) and ``limit``
+      None (every query sees all N tokens) or a length-Q integer array
+      with entries in [1, N] (query q sees ``tokens[:, :limit[q]]``); the
+      call returns energies of shape (Q,) and gradients of shape d x Q from
+      one masked Q x N score matrix.
+
+    Results agree with ``energy_value``/``grad_z`` on each query's column
+    prefix up to float reassociation (~1e-15 relative). Raises for pair
+    energies without a precomputable form (kernelized maps), and for block
+    limits of the wrong length or outside [1, N].
     """
     if convention not in ("strict", "tied"):
         raise ValueError(f"unknown gradient convention {convention!r}")
@@ -394,6 +426,11 @@ def gradient_engine(spec: EnergySpec, tokens: np.ndarray,
         gates_full = _gates(spec, tokens.shape[1])
 
         def evaluate(z, limit=None):
+            if z.ndim == 2:
+                energies = -(z.T @ mapped)
+                coeff = _mask_outside_prefix(gates_full * energies, limit, 0.0)
+                value = -0.5 * t * np.sum(coeff * energies, axis=1)
+                return value, t * (mapped @ coeff.T)
             u = mapped[:, :limit]
             gates = gates_full[:limit]
             energies = -(u.T @ z)
@@ -407,6 +444,11 @@ def gradient_engine(spec: EnergySpec, tokens: np.ndarray,
         half_sq = 0.5 * np.sum(mapped * mapped, axis=0)
 
         def evaluate(z, limit=None):
+            if z.ndim == 2:
+                energies = 0.5 * np.sum(z * z, axis=0)[:, None] - z.T @ mapped + half_sq
+                weights, lse = _row_softmax_lse(
+                    _mask_outside_prefix(-energies / t, limit, -np.inf))
+                return -t * lse, z - mapped @ weights.T
             keys = mapped[:, :limit]
             energies = 0.5 * float(z @ z) - keys.T @ z + half_sq[:limit]
             weights, lse = _row_softmax_lse(-energies / t)
@@ -419,6 +461,10 @@ def gradient_engine(spec: EnergySpec, tokens: np.ndarray,
         scale = -t if convention == "tied" else -1.0
 
         def evaluate(z, limit=None):
+            if z.ndim == 2:
+                weights, lse = _row_softmax_lse(
+                    _mask_outside_prefix((z.T @ mapped) / t, limit, -np.inf))
+                return -t * lse, scale * (mapped @ weights.T)
             u = mapped[:, :limit]
             weights, lse = _row_softmax_lse((u.T @ z) / t)
             return -t * float(lse), scale * (u @ weights)
@@ -434,6 +480,15 @@ def gradient_engine(spec: EnergySpec, tokens: np.ndarray,
             half_sq = 0.5 * np.sum(keys_all * keys_all, axis=1)  # (H, N)
 
             def evaluate(z, limit=None):
+                if z.ndim == 2:
+                    queries = (w1_all @ z).reshape(heads, head_dim, -1)  # (H, dh, Q)
+                    energies = 0.5 * np.sum(queries * queries, axis=1)[:, :, None] \
+                        - queries.transpose(0, 2, 1) @ keys_all + half_sq[:, None, :]
+                    weights, lse = _row_softmax_lse(
+                        _mask_outside_prefix(-energies / t, limit, -np.inf))
+                    kbar = keys_all @ weights.transpose(0, 2, 1)  # (H, dh, Q)
+                    grad = w1_all.T @ (queries - kbar).reshape(heads * head_dim, -1)
+                    return np.mean(-t * lse, axis=0), grad / heads
                 keys = keys_all[:, :, :limit]
                 queries = (w1_all @ z).reshape(heads, head_dim)
                 cross = np.einsum("hd,hdn->hn", queries, keys)
@@ -449,6 +504,13 @@ def gradient_engine(spec: EnergySpec, tokens: np.ndarray,
         scale = -t / heads if convention == "tied" else -1.0 / heads
 
         def evaluate(z, limit=None):
+            if z.ndim == 2:
+                queries = (w1_all @ z).reshape(heads, head_dim, -1)  # (H, dh, Q)
+                weights, lse = _row_softmax_lse(_mask_outside_prefix(
+                    (queries.transpose(0, 2, 1) @ keys_all) / t, limit, -np.inf))
+                kbar = keys_all @ weights.transpose(0, 2, 1)  # (H, dh, Q)
+                return np.mean(-t * lse, axis=0), \
+                    scale * (w1_all.T @ kbar.reshape(heads * head_dim, -1))
             keys = keys_all[:, :, :limit]
             queries = (w1_all @ z).reshape(heads, head_dim)
             scores = np.einsum("hd,hdn->hn", queries, keys)

@@ -65,15 +65,14 @@ def _attended(tokens: np.ndarray, position: int, causal: bool) -> np.ndarray:
     return tokens[:, :position + 1] if causal else tokens
 
 
-def _position_limit(cfg: LoopConfig, position: int, total: int) -> int:
-    return position + 1 if cfg.causal else total
-
-
-def _total_energy(cfg: LoopConfig, tokens: np.ndarray) -> float:
+def _total_energy(cfg: LoopConfig, tokens: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed per-position energy of a token matrix and every position's
+    gradient (d x N), from one block evaluation of all positions against
+    their attended sets."""
     evaluate = en.gradient_engine(cfg.spec, tokens, cfg.convention)
     n = tokens.shape[1]
-    return float(sum(
-        evaluate(tokens[:, i], _position_limit(cfg, i, n))[0] for i in range(n)))
+    values, grads = evaluate(tokens, np.arange(1, n + 1) if cfg.causal else None)
+    return float(np.sum(values)), grads
 
 
 def loop_forward(cfg: LoopConfig, tokens0: np.ndarray) -> LoopTrace:
@@ -83,18 +82,15 @@ def loop_forward(cfg: LoopConfig, tokens0: np.ndarray) -> LoopTrace:
     position by one descent step against the frozen previous matrix, then
     the matrix is replaced by the updated positions. The recorded objective
     is the summed per-position energy against the attended sets (the causal
-    prefix including the position itself, or the whole matrix).
+    prefix including the position itself, or the whole matrix); the same
+    evaluation gives the gradients of the next step.
     """
     tokens = nk.as_matrix(tokens0).copy()
-    trace = LoopTrace([tokens.copy()], [_total_energy(cfg, tokens)])
-    n = tokens.shape[1]
+    objective, grads = _total_energy(cfg, tokens)
+    trace = LoopTrace([tokens.copy()], [objective])
     for _ in range(cfg.iterations):
-        evaluate = en.gradient_engine(cfg.spec, tokens, cfg.convention)
-        updated = np.empty_like(tokens)
-        for i in range(n):
-            _, grad = evaluate(tokens[:, i], _position_limit(cfg, i, n))
-            updated[:, i] = tokens[:, i] - cfg.eta * grad
-        objective = _total_energy(cfg, updated)
+        updated = tokens - cfg.eta * grads
+        objective, grads = _total_energy(cfg, updated)
         if not np.isfinite(objective) or not np.all(np.isfinite(updated)):
             trace.stop_reason = "diverged"
             return trace
@@ -242,7 +238,7 @@ def loop_alternating_optimize(cfg: LoopConfig, dataset, epochs: int,
         for final, (_, labels) in zip(finals, dataset):
             for i in range(final.shape[1]):
                 ce += cross_entropy(head.T @ final[:, i], labels[:, i])
-            fe += _total_energy(LoopConfig(spec, 0, eta, cfg.causal), final)
+            fe += _total_energy(LoopConfig(spec, 0, eta, cfg.causal), final)[0]
         return EpochRecord(epoch, float(ce), float(fe),
                            float(np.linalg.norm(weight)),
                            float(np.linalg.norm(head)))

@@ -164,6 +164,14 @@ def test_loop_training_modes_reduce_cross_entropy(tmp_path):
         assert ce[-1] < ce[0]
 
 
+def test_loop_training_rejects_classes_other_than_two(capsys):
+    for mode in ("train-single", "train-loop"):
+        for classes in ("1", "3"):
+            assert run(["loop", "--mode", mode, "--classes", classes,
+                        "--epochs", "1", "--samples", "4"]) == 2
+            assert "--classes must be 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bench / spectrum
 # ---------------------------------------------------------------------------
@@ -189,6 +197,12 @@ def test_bench_multiple_sizes_appends_slope_row(tmp_path):
 
 def test_bench_rejects_bad_sizes():
     assert run(["bench", "--tokens-list", "0,-3"]) == 2
+
+
+def test_bench_rejects_nonpositive_reps(capsys):
+    for reps in ("0", "-1"):
+        assert run(["bench", "--tokens-list", "16", "--reps", reps]) == 2
+        assert "reps must be >= 1" in capsys.readouterr().err
 
 
 def test_spectrum_single_token_nsd_zero(tmp_path):

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from energy_attention import energy as en
 from energy_attention import numkit as nk
@@ -530,6 +532,133 @@ def test_gradient_engine_matches_ops():
     np.testing.assert_allclose(grad, en.grad_z(sq, z, tokens), atol=1e-13)
     with pytest.raises(ValueError):
         en.gradient_engine(specs["kernel-exp"], tokens)
+
+
+def _engine_specs(seed, tokens):
+    """Every kind gradient_engine accepts; square-sum gated over ``tokens``."""
+    specs = _random_specs(seed)
+    gates = nk.Rng(seed + 1).uniforms(tokens)
+    specs["square-sum"] = en.square_sum_spec(specs["square-sum"].pair.weight, 0.7,
+                                             gates)
+    del specs["kernel-exp"], specs["kernel-identity"]
+    return specs
+
+
+def _prefix_spec(spec, n):
+    """``spec`` restricted to the first ``n`` tokens (gates truncated)."""
+    g = spec.global_energy
+    if isinstance(g, en.WeightedSquareSum) and g.gates is not None:
+        return en.square_sum_spec(spec.pair.weight, g.temperature, g.gates[:n])
+    return spec
+
+
+def test_gradient_engine_block_matches_ops_on_prefixes():
+    n, q = 9, 7
+    rng = nk.Rng(46)
+    block = rng.normal_matrix(8, q)
+    tokens = rng.normal_matrix(8, n)
+    limits = np.array([1 + int(u * n) for u in rng.uniforms(q)])
+    limits[:2] = (1, n)
+    for spec in _engine_specs(47, n).values():
+        for conv in ("strict", "tied"):
+            evaluate = en.gradient_engine(spec, tokens, conv)
+            for limit in (limits, None):
+                values, grads = evaluate(block, limit)
+                assert values.shape == (q,) and grads.shape == (8, q)
+                for k in range(q):
+                    m = n if limit is None else limit[k]
+                    prefix_spec, prefix = _prefix_spec(spec, m), tokens[:, :m]
+                    z = block[:, k]
+                    assert values[k] == pytest.approx(
+                        en.energy_value(prefix_spec, z, prefix), abs=1e-12)
+                    np.testing.assert_allclose(
+                        grads[:, k], en.grad_z(prefix_spec, z, prefix, conv),
+                        atol=1e-13)
+
+
+@pytest.mark.parametrize("limit, message", [
+    ([3, 3], "length 3"),
+    ([[1, 2, 3]], "length 3"),
+    ([1.0, 2.0, 3.0], "integer"),
+    ([1, 0, 3], r"\[1, 4\]"),
+    ([1, 5, 3], r"\[1, 4\]"),
+    ([-1, 2, 3], r"\[1, 4\]"),
+])
+def test_gradient_engine_block_rejects_bad_limits(limit, message):
+    rng = nk.Rng(48)
+    block = rng.normal_matrix(8, 3)
+    tokens = rng.normal_matrix(8, 4)
+    for spec in _engine_specs(49, 4).values():
+        evaluate = en.gradient_engine(spec, tokens)
+        with pytest.raises(ValueError, match=message):
+            evaluate(block, np.array(limit))
+
+
+_ENGINE_KINDS = ("elastic", "inner", "per-head-elastic", "per-head-inner",
+                 "square-sum")
+
+
+@st.composite
+def _block_cases(draw):
+    n = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 6))
+    return {
+        "kind": draw(st.sampled_from(_ENGINE_KINDS)),
+        "convention": draw(st.sampled_from(("strict", "tied"))),
+        "dim": draw(st.integers(1, 6)),
+        "heads": draw(st.integers(1, 3)),
+        "head_dim": draw(st.integers(1, 3)),
+        "tokens": n,
+        "queries": q,
+        # None, causal (query i is token i and sees tokens 0..i), or explicit
+        "limit": draw(st.one_of(
+            st.none(), st.just("causal"),
+            st.lists(st.integers(1, n), min_size=q, max_size=q))),
+        "temperature": 10.0 ** draw(st.floats(-3.0, 3.0)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _case_spec(case, rng):
+    d, t = case["dim"], case["temperature"]
+    if case["kind"].startswith("per-head"):
+        maps = [tuple(rng.standard_normal((case["head_dim"], d)) / math.sqrt(d)
+                      for _ in range(case["heads"])) for _ in range(2)]
+        build = (en.per_head_elastic_spec if case["kind"] == "per-head-elastic"
+                 else en.per_head_inner_spec)
+        return build(*maps, t)
+    w = rng.standard_normal((d, d)) / math.sqrt(d)
+    if case["kind"] == "square-sum":
+        return en.square_sum_spec(w, t, rng.uniform(size=case["tokens"]))
+    build = en.elastic_spec if case["kind"] == "elastic" else en.inner_product_spec
+    return build(w, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_cases())
+@example({"kind": "elastic", "convention": "strict", "dim": 3, "heads": 1,
+          "head_dim": 1, "tokens": 1, "queries": 1, "limit": "causal",
+          "temperature": 1e-3, "seed": 0})
+@example({"kind": "per-head-inner", "convention": "tied", "dim": 4, "heads": 2,
+          "head_dim": 2, "tokens": 5, "queries": 5, "limit": "causal",
+          "temperature": 1e3, "seed": 1})
+def test_gradient_engine_block_equals_vector_calls(case):
+    rng = np.random.default_rng(case["seed"])
+    spec = _case_spec(case, rng)
+    tokens = rng.standard_normal((case["dim"], case["tokens"]))
+    if case["limit"] == "causal":
+        block, limit = tokens, np.arange(1, case["tokens"] + 1)
+    else:
+        block = rng.standard_normal((case["dim"], case["queries"]))
+        limit = None if case["limit"] is None else np.array(case["limit"])
+    evaluate = en.gradient_engine(spec, tokens, case["convention"])
+    values, grads = evaluate(block, limit)
+    assert values.shape == (block.shape[1],) and grads.shape == block.shape
+    for k in range(block.shape[1]):
+        value, grad = evaluate(block[:, k], None if limit is None else int(limit[k]))
+        assert np.isfinite(values[k]) and np.all(np.isfinite(grads[:, k]))
+        assert values[k] == pytest.approx(value, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(grads[:, k], grad, rtol=1e-12, atol=1e-12)
 
 
 def test_spec_validation():

@@ -102,6 +102,77 @@ def test_loop_objective_decreases_for_elastic_energy():
     assert trace.objectives[-1] < trace.objectives[0]
 
 
+def _loop_specs(seed, d=6, n=7):
+    rng = nk.Rng(seed)
+    w = rng.normal_matrix(d, d, 1 / math.sqrt(d))
+    w1 = tuple(rng.normal_matrix(3, d, 1 / math.sqrt(d)) for _ in range(2))
+    w2 = tuple(rng.normal_matrix(3, d, 1 / math.sqrt(d)) for _ in range(2))
+    return {
+        "elastic": (en.elastic_spec(w, 0.8), "strict"),
+        "inner-tied": (en.inner_product_spec(w, 0.8), "tied"),
+        "per-head-elastic": (en.per_head_elastic_spec(w1, w2, 0.8), "strict"),
+        "per-head-inner": (en.per_head_inner_spec(w1, w2, 0.8), "tied"),
+        "square-sum": (en.square_sum_spec(w, 0.8, rng.uniforms(n)), "strict"),
+    }
+
+
+def _reference_loop(spec, tokens, iterations, eta, causal, convention):
+    """Per-position Jacobi loop on ``grad_z``/``energy_value`` over each
+    position's attended prefix (gates truncated with it)."""
+    n = tokens.shape[1]
+
+    def position(x, i):
+        m = i + 1 if causal else n
+        g = spec.global_energy
+        s = spec
+        if isinstance(g, en.WeightedSquareSum):
+            s = en.square_sum_spec(spec.pair.weight, g.temperature, g.gates[:m])
+        return s, x[:, i], x[:, :m]
+
+    def total(x):
+        return sum(en.energy_value(*position(x, i)) for i in range(n))
+
+    iterates, objectives = [tokens], [total(tokens)]
+    for _ in range(iterations):
+        x = iterates[-1]
+        updated = np.empty_like(x)
+        for i in range(n):
+            updated[:, i] = x[:, i] - eta * en.grad_z(*position(x, i), convention)
+        iterates.append(updated)
+        objectives.append(total(updated))
+    return iterates, objectives
+
+
+@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("kind", ["elastic", "inner-tied", "per-head-elastic",
+                                  "per-head-inner", "square-sum"])
+def test_loop_forward_matches_per_position_reference(kind, causal):
+    spec, convention = _loop_specs(8)[kind]
+    tokens = nk.Rng(9).normal_matrix(6, 7, 1 / math.sqrt(6))
+    cfg = ls.LoopConfig(spec, 3, 0.1, causal=causal, convention=convention)
+    trace = ls.loop_forward(cfg, tokens)
+    iterates, objectives = _reference_loop(spec, tokens, 3, 0.1, causal, convention)
+    assert trace.stop_reason == "completed"
+    assert len(trace.iterates) == len(iterates) == 4
+    for got, want in zip(trace.iterates, iterates):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(trace.objectives, objectives, rtol=1e-12, atol=0.0)
+
+
+def test_loop_divergence_stops_before_non_finite_iterate():
+    # square-sum descent grows the tokens by a factor ~eta*T*||W||^2 per step;
+    # a huge rate overflows the objective after the first step
+    spec = en.square_sum_spec(nk.Rng(10).normal_matrix(4, 4), 1.0)
+    tokens = nk.Rng(11).normal_matrix(4, 5)
+    cfg = ls.LoopConfig(spec, 3, 1e200, causal=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = ls.loop_forward(cfg, tokens)
+    assert trace.stop_reason == "diverged"
+    assert len(trace.iterates) == len(trace.objectives) == 1
+    assert np.all(np.isfinite(trace.iterates[0]))
+    assert np.isfinite(trace.objectives[0])
+
+
 # ---------------------------------------------------------------------------
 # cross-entropy head
 # ---------------------------------------------------------------------------
