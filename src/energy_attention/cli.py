@@ -4,11 +4,8 @@ comparisons, loop simulation, Hessian spectra and scaling benchmarks.
 All outputs are machine-readable. CSV files carry one leading comment line
 embedding the full run configuration (seed included), so any run can be
 reproduced from its own output; JSON reports embed the same under "config".
-Exit codes: 0 success, 1 verification failure, 2 usage error.
-
-The environment variable ENERGY_ATTN_THREADS caps internal parallelism
-(0 = auto). The current implementation executes sweeps serially, which
-satisfies any cap; the value is recorded in run metadata.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including
+non-finite or out-of-range numeric options).
 """
 
 from __future__ import annotations
@@ -44,16 +41,26 @@ class UsageError(Exception):
     pass
 
 
-def thread_cap() -> int:
-    """Parallelism cap from ENERGY_ATTN_THREADS; 0 means automatic."""
-    raw = os.environ.get("ENERGY_ATTN_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError as err:
-        raise UsageError("ENERGY_ATTN_THREADS must be an integer") from err
-    if cap < 0:
-        raise UsageError("ENERGY_ATTN_THREADS must be nonnegative")
-    return cap
+# numeric options: (test, rule) for every subcommand that has the option
+_NUMERIC_RULES = {
+    **dict.fromkeys(("temp", "lr", "rho", "tol"),
+                    (lambda v: math.isfinite(v) and v > 0.0, "finite and > 0")),
+    "beta": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "eps": (lambda v: math.isfinite(v) and v >= 0.0, "finite and >= 0"),
+    **dict.fromkeys(("dim", "tokens", "heads", "seeds", "instances", "reps"),
+                    (lambda v: v >= 1, ">= 1")),
+    **dict.fromkeys(("steps", "iters", "epochs"), (lambda v: v >= 0, ">= 0")),
+}
+
+
+def _check_numeric_args(args) -> None:
+    """Reject out-of-range numeric options before any work starts."""
+    for name, (valid, rule) in _NUMERIC_RULES.items():
+        value = getattr(args, name, None)
+        if value is not None and not valid(value):
+            raise UsageError(f"{name} must be {rule}")
+    if getattr(args, "heads", 1) > 1 and args.dim % args.heads != 0:
+        raise UsageError("heads must divide the dimension")
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +98,7 @@ def _json_doc(command: str, config: dict, payload: dict) -> str:
 
 
 def _config_from(args, keys) -> dict:
-    config = {key: getattr(args, key) for key in keys}
-    config["threads"] = thread_cap()
-    return config
+    return {key: getattr(args, key) for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +122,6 @@ def _random_instance(rng: nk.Rng, energy_kind: str, dim: int, tokens_n: int,
         else:
             raise UsageError(f"unknown energy {energy_kind!r}")
         return spec, z, token_mat
-    if dim % heads != 0:
-        raise UsageError("heads must divide the dimension")
     head_dim = dim // heads
     scale = 1.0 / math.sqrt(dim)
     w1 = tuple(rng.normal_matrix(head_dim, dim, scale) for _ in range(heads))
@@ -165,8 +168,6 @@ def _report_dict(report: eq.VerificationReport) -> dict:
 
 
 def cmd_verify(args) -> int:
-    if args.instances < 1:
-        raise UsageError("instances must be >= 1")
     cfg = eq.InstanceConfig(args.dim, args.tokens, args.heads, args.rho,
                             args.lr, args.temp)
     runners = {
@@ -298,8 +299,6 @@ def cmd_loop(args) -> int:
     # training modes
     if args.samples < 2:
         raise UsageError("training needs at least one sample per class")
-    if args.epochs < 0:
-        raise UsageError("epochs must be nonnegative")
     if args.classes != 2:
         raise UsageError("training data has two classes: --classes must be 2")
     head = rng.normal_matrix(args.dim, args.classes, 0.1)
@@ -400,8 +399,6 @@ def cmd_bench(args) -> int:
     tokens_list = [int(x) for x in args.tokens_list.split(",") if x.strip()]
     if not tokens_list or any(n < 1 for n in tokens_list):
         raise UsageError("tokens-list must be positive integers")
-    if args.reps < 1:
-        raise UsageError("reps must be >= 1")
     rows, slope = run_bench(args.variant, args.dim, args.heads, tokens_list,
                             args.reps, args.seed)
     config = _config_from(args, ["variant", "dim", "heads", "tokens_list",
@@ -558,6 +555,7 @@ def main(argv=None) -> int:
     if args.format is None:
         args.format = args.default_format
     try:
+        _check_numeric_args(args)
         return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -44,6 +44,7 @@ HESSIAN_THRESHOLD = 1e-8
 
 _REJECTION_BUDGET = 100
 _MAX_CONDITION = 1e3
+_WITNESS_BUDGET = 32
 
 
 @dataclass(frozen=True)
@@ -353,6 +354,12 @@ def boltzmann_suite(cfg: InstanceConfig, instances: int, seed: int,
     return merge_reports(reports)
 
 
+def _indefinite(hessian: np.ndarray) -> bool:
+    """True when the Hessian has eigenvalues of both signs past the threshold."""
+    eigs = nk.sym_eigvals(hessian)
+    return bool(eigs[0] <= -HESSIAN_THRESHOLD and eigs[-1] >= HESSIAN_THRESHOLD)
+
+
 def verify_hessian_structure(cfg: InstanceConfig, instances: int,
                              seed: int) -> VerificationReport:
     """Sign structure of the Hessian split plus a non-convexity witness.
@@ -364,8 +371,11 @@ def verify_hessian_structure(cfg: InstanceConfig, instances: int,
     the report scale); and at a fixed-point-constructed interior stationary
     point the summed per-head gradient must vanish. Every third instance is
     drawn at a tenth of the temperature: sharp instances are where the free
-    energy stops being convex, and at least one must exhibit a genuinely
-    indefinite Hessian.
+    energy stops being convex, and one must exhibit a genuinely indefinite
+    Hessian. When no instance of the sweep does (a sweep of fewer than
+    three instances has no sharp one), further sharp instances at seeds
+    seed + instances, seed + instances + 1, ... are drawn for that test
+    alone, up to ``_WITNESS_BUDGET`` of them.
     """
     worst, witness = 0.0, None
     indefinite_seed = None
@@ -387,10 +397,7 @@ def verify_hessian_structure(cfg: InstanceConfig, instances: int,
         bound_hess = en.hessian_z(en.upper_bound_spec(spec), z, token_mat)
         err = max(err, float(nk.sym_eigvals(bound_hess)[-1]))
 
-        full_eigs = nk.sym_eigvals(psd + nsd)
-        if (indefinite_seed is None
-                and full_eigs[0] <= -HESSIAN_THRESHOLD
-                and full_eigs[-1] >= HESSIAN_THRESHOLD):
+        if indefinite_seed is None and _indefinite(psd + nsd):
             indefinite_seed = inst_seed
 
         fd_hess = nk.fd_jacobian(
@@ -411,6 +418,16 @@ def verify_hessian_structure(cfg: InstanceConfig, instances: int,
 
         if err > worst:
             worst, witness = err, inst_seed
+
+    for extra_seed in range(seed + instances, seed + instances + _WITNESS_BUDGET):
+        if indefinite_seed is not None:
+            break
+        spec, z, token_mat = make_relaxed_instance(
+            nk.Rng(extra_seed), cfg.dim, cfg.tokens, cfg.heads, cfg.radius,
+            cfg.temperature * 0.1)
+        psd, nsd = en.hessian_split(spec, z, token_mat)
+        if _indefinite(psd + nsd):
+            indefinite_seed = extra_seed
 
     details = {
         "indefinite_witness_seed": indefinite_seed,

@@ -1,5 +1,5 @@
-"""Self-contained dense numerics: stable reductions, small eigen/inverse
-solvers, finite-difference oracles and seeded randomness.
+"""Self-contained dense numerics: stable reductions, guarded LAPACK
+eigen/inverse wrappers, finite-difference oracles and seeded randomness.
 
 Everything operates on float64 numpy arrays. Token matrices follow the
 d x N convention (one token per column); ``as_token_matrix`` converts
@@ -207,64 +207,29 @@ def softmax_lse_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigensolver (cyclic Jacobi)
+# symmetric eigensolver and inverse (LAPACK through numpy.linalg)
 # ---------------------------------------------------------------------------
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.sqrt(np.sum(off * off)))
-
-
-def sym_eig(a: np.ndarray, *, max_sweeps: int = 100,
-            tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). Sweeps stop
-    once the off-diagonal Frobenius norm drops below ``tol`` or after
-    ``max_sweeps`` full passes. Input must be square and symmetric to
-    within 1e-10 (it is symmetrized before iterating).
-    """
+def _square(a: np.ndarray, what: str) -> np.ndarray:
     m = as_matrix(a)
-    n, cols = m.shape
-    if n != cols:
-        raise ValueError("eigensolver requires a square matrix")
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} requires a square matrix")
+    return m
+
+
+def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decomposition of a symmetric matrix (``numpy.linalg.eigh``).
+
+    Returns (eigenvalues ascending, orthonormal eigenvectors as columns).
+    Input must be square and symmetric to within 1e-10 (it is symmetrized
+    before solving).
+    """
+    m = _square(a, "eigensolver")
     scale = max(1.0, float(np.max(np.abs(m))))
     if float(np.max(np.abs(m - m.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    a = 0.5 * (m + m.T)
-    vecs = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), vecs
-
-    for _ in range(max_sweeps):
-        if _offdiag_norm(a) < tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p] = rot_p
-                a[:, q] = rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :] = rot_p
-                a[q, :] = rot_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                rot_p = c * vecs[:, p] - s * vecs[:, q]
-                rot_q = s * vecs[:, p] + c * vecs[:, q]
-                vecs[:, p] = rot_p
-                vecs[:, q] = rot_q
-
-    order = np.argsort(np.diag(a), kind="stable")
-    return np.diag(a)[order].copy(), vecs[:, order]
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    return vals, vecs
 
 
 def sym_eigvals(a: np.ndarray) -> np.ndarray:
@@ -273,29 +238,21 @@ def sym_eigvals(a: np.ndarray) -> np.ndarray:
     return vals
 
 
-# ---------------------------------------------------------------------------
-# inverses
-# ---------------------------------------------------------------------------
+def solve_inverse(a: np.ndarray) -> np.ndarray:
+    """Matrix inverse (``numpy.linalg.inv``) behind a singularity guard.
 
-def solve_inverse(a: np.ndarray, *, pivot_tol: float = 1e-12) -> np.ndarray:
-    """Matrix inverse by Gauss-Jordan elimination with partial pivoting."""
-    m = as_matrix(a)
-    n, cols = m.shape
-    if n != cols:
-        raise ValueError("inverse requires a square matrix")
-    work = np.hstack([m.copy(), np.eye(n)])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(work[col:, col])))
-        pivot = work[pivot_row, col]
-        if abs(pivot) < pivot_tol:
-            raise ValueError("singular matrix")
-        if pivot_row != col:
-            work[[col, pivot_row]] = work[[pivot_row, col]]
-        work[col] /= work[col, col]
-        ratios = work[:, col].copy()
-        ratios[col] = 0.0
-        work -= np.outer(ratios, work[col])
-    return np.ascontiguousarray(work[:, n:])
+    An n x n matrix whose smallest singular value is below sqrt(n) * 1e-12
+    raises ``ValueError("singular matrix")``. Gaussian elimination with
+    partial pivoting meets a pivot below 1e-12 only on such a matrix, since
+    every pivot is at least sigma_min / sqrt(n).
+    """
+    m = _square(a, "inverse")
+    if float(np.linalg.svd(m, compute_uv=False)[-1]) < math.sqrt(m.shape[0]) * 1e-12:
+        raise ValueError("singular matrix")
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError as err:
+        raise ValueError("singular matrix") from err
 
 
 def range_space_pinv(w: np.ndarray) -> np.ndarray:

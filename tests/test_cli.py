@@ -39,6 +39,18 @@ def test_verify_rejects_zero_instances(capsys):
     assert "instances must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("instances", ["1", "2"])
+def test_verify_all_small_sweeps_pass(instances, tmp_path):
+    # a sweep this small has no sharp instance of its own; the
+    # indefiniteness witness is drawn past the sweep
+    out = tmp_path / "report.json"
+    assert run(["verify", "all", "--instances", instances,
+                "--out", str(out)]) == 0
+    doc = json.loads(read(out))
+    assert all(r["pass"] for r in doc["results"])
+    assert "threads" not in doc["config"]
+
+
 def test_verify_unknown_claim_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "theorem-42"])
@@ -230,12 +242,30 @@ def test_spectrum_default_shows_mixed_signs(tmp_path):
     assert min(full) < -1e-8 and max(full) > 1e-8
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("ENERGY_ATTN_THREADS", "4")
-    assert cli.thread_cap() == 4
-    monkeypatch.setenv("ENERGY_ATTN_THREADS", "soup")
-    with pytest.raises(cli.UsageError):
-        cli.thread_cap()
+@pytest.mark.parametrize("argv, message", [
+    (["descend", "--temp", "0"], "temp must be finite and > 0"),
+    (["descend", "--temp", "nan"], "temp must be finite and > 0"),
+    (["spectrum", "--temp", "inf"], "temp must be finite and > 0"),
+    (["descend", "--lr", "-0.1"], "lr must be finite and > 0"),
+    (["loop", "--lr", "nan"], "lr must be finite and > 0"),
+    (["verify", "all", "--rho", "0"], "rho must be finite and > 0"),
+    (["descend", "--tol", "nan"], "tol must be finite and > 0"),
+    (["descend", "--beta", "1"], "beta must be in [0, 1)"),
+    (["compare", "--eps", "-1"], "eps must be finite and >= 0"),
+    (["spectrum", "--dim", "0"], "dim must be >= 1"),
+    (["loop", "--mode", "forward", "--tokens", "0"], "tokens must be >= 1"),
+    (["bench", "--heads", "0"], "heads must be >= 1"),
+    (["compare", "--seeds", "0"], "seeds must be >= 1"),
+    (["descend", "--steps", "-1"], "steps must be >= 0"),
+    (["loop", "--iters", "-1"], "iters must be >= 0"),
+    (["loop", "--mode", "train-single", "--epochs", "-1"], "epochs must be >= 0"),
+    (["compare", "--heads", "3"], "heads must divide the dimension"),
+])
+def test_bad_numeric_argument_is_usage_error(argv, message, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_stdout_output(capsys):

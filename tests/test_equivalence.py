@@ -184,6 +184,29 @@ def test_hessian_structure_passes_with_witness():
     assert report.details["fd_max_relative_error"] < 1e-4
 
 
+@pytest.mark.parametrize("instances", [1, 2])
+def test_hessian_structure_small_sweep_draws_witness_past_the_sweep(instances):
+    # no sharp instance in the sweep: the witness comes from the seeds after it
+    report = eq.verify_hessian_structure(CFG, instances, seed=7)
+    assert report.passed
+    assert report.instances == instances
+    assert report.details["indefinite_witness_seed"] == 7 + instances
+
+
+def test_hessian_structure_six_instance_sweeps_pass():
+    failed = [seed for seed in range(1000, 1000 + 6 * 67, 6)
+              if not eq.verify_hessian_structure(CFG, 6, seed).passed]
+    assert failed == []
+
+
+def test_hessian_structure_witness_inside_sweep_unchanged():
+    report = eq.verify_hessian_structure(CFG, 30, seed=1000)
+    assert report.passed
+    assert report.details["indefinite_witness_seed"] == 1002
+    assert report.details["stationary_checked"] == 20
+    assert report.details["stationary_skipped"] == 0
+
+
 def test_hessian_structure_reproducible():
     a = eq.verify_hessian_structure(CFG, 9, seed=2)
     b = eq.verify_hessian_structure(CFG, 9, seed=2)

@@ -134,6 +134,19 @@ def test_sym_eig_trace_and_reconstruction():
         assert np.max(np.abs(vecs.T @ vecs - np.eye(6))) < 1e-10
 
 
+def test_sym_eig_orthonormal_vectors_rebuild_repeated_eigenvalue():
+    # Q diag(-1, 2, 2, 2, 5) Q^T: a three-fold eigenvalue, so any basis of
+    # its eigenspace is valid and only orthonormality and the rebuild pin it
+    q = nk.orthonormal_rows(nk.Rng(13), 5, 5)
+    s = q.T @ np.diag([-1.0, 2.0, 2.0, 2.0, 5.0]) @ q
+    s = 0.5 * (s + s.T)
+    vals, vecs = nk.sym_eig(s)
+    np.testing.assert_allclose(vals, [-1.0, 2.0, 2.0, 2.0, 5.0], atol=1e-12)
+    np.testing.assert_allclose(vecs.T @ vecs, np.eye(5), atol=1e-12)
+    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, s, atol=1e-12)
+    np.testing.assert_allclose(s @ vecs, vecs * vals, atol=1e-12)
+
+
 def test_sym_eig_rejects_bad_input():
     with pytest.raises(ValueError):
         nk.sym_eigvals(np.ones((2, 3)))
@@ -164,6 +177,26 @@ def test_solve_inverse_singular():
         nk.solve_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+def test_solve_inverse_near_singular():
+    # partial pivoting meets the pivot 1e-13 < 1e-12; LAPACK alone would
+    # return diag(1, 1e13)
+    with pytest.raises(ValueError, match="singular matrix"):
+        nk.solve_inverse(np.diag([1.0, 1e-13]))
+    with pytest.raises(ValueError, match="singular matrix"):
+        nk.solve_inverse(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]))
+    np.testing.assert_allclose(nk.solve_inverse(np.diag([1.0, 1e-10])),
+                               np.diag([1.0, 1e10]))
+    # exactly singular, but rounding puts the computed sigma_min near 1e4:
+    # the elimination itself meets the zero pivot
+    with pytest.raises(ValueError, match="singular matrix"):
+        nk.solve_inverse(np.full((2, 2), 1e20))
+
+
+def test_solve_inverse_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        nk.solve_inverse(np.ones((2, 3)))
+
+
 def test_range_space_pinv_orthonormal_rows_is_transpose():
     w = nk.orthonormal_rows(nk.Rng(8), 3, 7)
     np.testing.assert_allclose(nk.range_space_pinv(w), w.T, atol=1e-12)
@@ -192,6 +225,52 @@ def test_range_space_pinv_rank_deficient():
         nk.range_space_pinv(w)
     with pytest.raises(ValueError):
         nk.range_space_pinv(np.ones((3, 2)))
+
+
+def test_range_space_pinv_near_rank_deficient():
+    # Gram matrix [[1, 1], [1, 1 + 1e-14]]: second pivot 1e-14
+    w = np.array([[1.0, 0.0, 0.0], [1.0, 1e-7, 0.0]])
+    with pytest.raises(ValueError, match="rank-deficient rows"):
+        nk.range_space_pinv(w)
+
+
+# (sym_eig calls, z . (1, ..., 8)) of make_tied_instance(Rng(seed), tying,
+# 8, 16, heads) as computed by the cyclic Jacobi / Gauss-Jordan solvers the
+# LAPACK wrappers replaced; seed 96 (both tyings) and seed 100 (multihead)
+# redraw an ill-conditioned map once
+_TIED_PINS = {
+    "softmax": {
+        92: (1, 5.99301008167158), 93: (1, 0.09506082221512357),
+        94: (1, -1.3449445596322598), 95: (1, 4.760280202631153),
+        96: (2, -8.72191329691971), 97: (1, 4.015381281242399),
+        98: (1, 3.3211432660739817), 99: (1, -3.5754216351751946),
+        100: (1, -5.527382053086984), 101: (1, -3.9981772462806573),
+    },
+    "multihead": {
+        92: (4, 2.955548105557712), 93: (4, -49.35242764267128),
+        94: (4, -217.7092461735348), 95: (4, 13.95661806188918),
+        96: (5, 20.602406627743004), 97: (4, 87.8165714101471),
+        98: (4, 72.4810687163762), 99: (4, -8.54946441004831),
+        100: (5, 14.814623426341193), 101: (4, 6.070854048507897),
+    },
+}
+
+
+@pytest.mark.parametrize("tying", sorted(_TIED_PINS))
+def test_tied_instance_rejection_draws_pinned(tying, monkeypatch):
+    from energy_attention import equivalence as eq
+
+    calls = []
+    original = nk.sym_eig
+    monkeypatch.setattr(nk, "sym_eig",
+                        lambda a: calls.append(1) or original(a))
+    heads = 1 if tying == "softmax" else 2
+    for seed, (draws, fingerprint) in _TIED_PINS[tying].items():
+        calls.clear()
+        inst = eq.make_tied_instance(nk.Rng(seed), tying, 8, 16, heads)
+        assert len(calls) == draws, seed
+        assert float(inst.z @ np.arange(1, 9)) == pytest.approx(
+            fingerprint, rel=1e-9, abs=1e-9), seed
 
 
 # ---------------------------------------------------------------------------
