@@ -56,8 +56,8 @@ class AttentionParams:
         for w in self.w_out:
             if w.shape != (dim, head_dim):
                 raise ValueError("output projections must be dim x head_dim")
-        if any(t <= 0.0 for t in self.score_temp + self.bias_temp):
-            raise ValueError("temperatures must be positive")
+        if not all(np.isfinite(t) and t > 0.0 for t in self.score_temp + self.bias_temp):
+            raise ValueError("temperatures must be finite and > 0")
         if not self.tau:
             object.__setattr__(self, "tau", (0.01,) * heads)
         elif len(self.tau) != heads:

@@ -9,6 +9,7 @@ gradients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,16 +59,16 @@ class NewtonSubspace:
 
 
 def _validate(opt) -> None:
-    if opt.eta <= 0.0:
-        raise ValueError("learning rate must be positive")
+    if not (math.isfinite(opt.eta) and opt.eta > 0.0):
+        raise ValueError("learning rate must be finite and > 0")
     beta = getattr(opt, "beta", 0.0)
     if not 0.0 <= beta < 1.0:
         raise ValueError("momentum coefficient must lie in [0, 1)")
     if isinstance(opt, NewtonSubspace):
         if opt.mode not in ("exact", "taylor1"):
             raise ValueError(f"unknown Newton mode {opt.mode!r}")
-        if opt.eps < 0.0:
-            raise ValueError("regularization must be nonnegative")
+        if not (math.isfinite(opt.eps) and opt.eps >= 0.0):
+            raise ValueError("regularization must be finite and >= 0")
 
 
 @dataclass
@@ -160,23 +161,18 @@ def descend(spec: en.EnergySpec, optimizer, z0: np.ndarray, tokens: np.ndarray,
     to that norm (radial projection), off by default.
     """
     _validate(optimizer)
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tolerance must be finite and > 0")
     z = nk.as_vector(z0).copy()
     newton_maps = None
     if isinstance(optimizer, NewtonSubspace) and isinstance(spec.pair, en.PerHeadElastic):
         newton_maps = tuple(nk.range_space_pinv(w) for w in spec.pair.w_query)
 
-    try:
-        evaluate = en.gradient_engine(spec, tokens, convention)
-    except ValueError:
-        def evaluate(point, limit=None):
-            return (en.energy_value(spec, point, tokens),
-                    en.grad_z(spec, point, tokens, convention))
+    evaluate = en.gradient_engine(spec, tokens, convention)
 
     def measure(point):
         value, grad = evaluate(point)
-        return value, float(np.linalg.norm(grad)), grad
+        return float(value), float(np.linalg.norm(grad)), grad
 
     value, grad_norm, grad = measure(z)
     steps = [StepRecord(0, z.copy(), value, grad_norm)]

@@ -5,7 +5,11 @@ displacement, inner product, kernelized inner product, or their per-head
 subspace versions) combined into a global objective (Helmholtz free energy
 or a gated square sum). Every operation takes the query point ``z`` and the
 token matrix (d x N, one token per column) explicitly and returns plain
-floats/arrays; nothing is cached.
+floats/arrays. One private core computes every energy, Boltzmann weight,
+log-partition and query gradient of every kind, for one query or a masked
+d x Q block; the operations are short calls into it (and reject a
+non-finite query), and ``gradient_engine`` keeps one core for iterations:
+it accepts every kind and checks its prefix limits for both call forms.
 
 Gradient conventions
 --------------------
@@ -14,7 +18,8 @@ returned by the matching energy operation. ``convention="tied"`` scales the
 inner-product Helmholtz gradient by the temperature; that is the scaling
 under which one descent step with rate ``eta`` reproduces an attention
 forward whose value map is ``eta * T * W`` (see the equivalence module).
-The two conventions coincide for elastic and square-sum objectives.
+The two conventions coincide for elastic, kernelized and square-sum
+objectives.
 """
 
 from __future__ import annotations
@@ -105,8 +110,8 @@ class EnergySpec:
                 raise ValueError("heads must equal the number of per-head weight pairs")
         elif self.heads != 1:
             raise ValueError("single-head pair energies require heads=1")
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
+            raise ValueError("temperature must be finite and > 0")
         g = self.global_energy
         if isinstance(g, WeightedSquareSum) and g.gates is not None:
             if np.any(np.asarray(g.gates) < 0.0):
@@ -173,55 +178,170 @@ def upper_bound_spec(spec: EnergySpec) -> EnergySpec:
 
 
 # ---------------------------------------------------------------------------
+# the energy core
+# ---------------------------------------------------------------------------
+
+def _mask_outside_prefix(limit, queries: tuple, n: int) -> np.ndarray | None:
+    """Mask of shape ``queries + (N,)``, True at (q, n) for n >= limit[q].
+
+    ``limit`` is None (no mask) or one integer in [1, N] per query. A zero
+    limit would leave a query with no tokens, whose softmax is NaN.
+    """
+    if limit is None:
+        return None
+    limit = np.asarray(limit)
+    if limit.shape != queries or not np.issubdtype(limit.dtype, np.integer):
+        expected = (f"an integer array of length {queries[0]} (one per query)"
+                    if queries else "an integer")
+        raise ValueError(f"limit must be None or {expected}, got dtype "
+                         f"{limit.dtype} and shape {limit.shape}")
+    if limit.size and (limit.min() < 1 or limit.max() > n):
+        raise ValueError(f"limits must lie in [1, {n}], got entries from "
+                         f"{limit.min()} to {limit.max()}")
+    return np.arange(n) >= limit[..., None]
+
+
+class _Core:
+    """Energies, Boltzmann weights and query gradients of one spec over the
+    projected keys of one token matrix.
+
+    ``z`` is one query (d,) or a d x Q block. Scores are ``z.T @ keys`` and
+    reductions run over the last (token) axis, so both shapes take one path:
+    energies are (..., N) single-head and (..., H, N) per head, with ...
+    empty or (Q,); gradients come back shaped like ``z``. Per-head keys are
+    pulled back into query space (``W1_h^T W2_h h``, d x H*N), so all heads
+    score in one product and the gradient is one product back.
+    """
+
+    def __init__(self, spec: EnergySpec, tokens: np.ndarray, convention: str = "strict"):
+        if convention not in ("strict", "tied"):
+            raise ValueError(f"unknown gradient convention {convention!r}")
+        pair = spec.pair
+        self.t = spec.temperature
+        self.heads = spec.heads
+        self.n = tokens.shape[1]
+        self.per_head = spec.per_head
+        self.elastic = isinstance(pair, (Elastic, PerHeadElastic))
+        self.inner = isinstance(pair, (InnerProduct, PerHeadInner))
+        self.kernel = isinstance(pair, KernelInner)
+        self.query_map = None  # W_q (kernel) or the stacked W1_h (H*d_h x d)
+        self.gram = None  # sum_h W1_h^T W1_h, per-head elastic only
+        if isinstance(pair, (Elastic, InnerProduct)):
+            keys = self.keys = pair.weight @ tokens
+        elif self.kernel:
+            self.feature, self.feature_deriv = FEATURE_MAPS[pair.feature_map]
+            self.query_map = pair.w_query
+            self.keys = self.feature(pair.w_key @ tokens)
+        elif self.per_head:
+            w1 = np.stack(pair.w_query)
+            keys = np.stack(pair.w_key) @ tokens  # H x d_h x N
+            self.query_map = w1.reshape(-1, w1.shape[2])
+            self.keys = np.einsum("hkd,hkn->dhn", w1, keys).reshape(w1.shape[2], -1)
+        else:
+            raise ValueError(f"unknown pair energy {type(pair).__name__}")
+        if self.elastic:
+            self.half_sq = 0.5 * (keys * keys).sum(axis=-2)
+            if self.per_head:
+                self.gram = self.query_map.T @ self.query_map
+        self.gates = None
+        if isinstance(spec.global_energy, WeightedSquareSum):
+            if self.per_head:
+                raise ValueError("the square-sum energy is single-head only")
+            g = spec.global_energy.gates
+            self.gates = np.ones(self.n) if g is None else g
+            if self.gates.shape[0] != self.n:
+                raise ValueError("gates length must match the token count")
+        # the tied convention scales the inner-product Helmholtz gradient by T
+        self.tied = convention == "tied" and self.inner and self.gates is None
+
+    def energies(self, z: np.ndarray) -> np.ndarray:
+        if self.kernel:
+            return -(self.feature(self.query_map @ z).T @ self.keys)
+        scores = z.T @ self.keys
+        if self.per_head:
+            scores = scores.reshape(scores.shape[:-1] + (self.heads, self.n))
+        if self.inner:
+            return -scores
+        # the query side W1_h z of every head, (..., H, d_h); z itself single-head
+        rows = (z.T if self.gram is None
+                else (self.query_map @ z).T.reshape(scores.shape[:-1] + (-1,)))
+        return 0.5 * (rows * rows).sum(axis=-1, keepdims=True) - scores + self.half_sq
+
+    def boltzmann(self, z: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
+        """Weights softmax(-E/T) and log-partitions log sum exp(-E/T) per
+        query (and head); pairs where ``mask`` (..., N) is True get zero weight."""
+        scores = -self.energies(z) / self.t
+        if mask is not None:
+            scores = np.where(mask[..., None, :] if self.per_head else mask,
+                              -np.inf, scores)
+        return nk.softmax_lse_rows(scores)
+
+    def pair_grad(self, z: np.ndarray, coeff: np.ndarray, total) -> np.ndarray:
+        """sum over pairs (and heads) of coeff * dE/dz, laid out like ``z``;
+        ``total`` is the sum of ``coeff`` over the pairs of each head."""
+        if self.kernel:
+            return -self.query_map.T @ (self.feature_deriv(self.query_map @ z)
+                                        * (self.keys @ coeff.T))
+        if self.per_head:
+            coeff = coeff.reshape(coeff.shape[:-2] + (-1,))
+        pulled = self.keys @ coeff.T
+        if not self.elastic:
+            return -pulled
+        # dE_n/dz = W1^T W1 z - (pulled key n), with W1 = I single-head
+        return total * (z if self.gram is None else self.gram @ z) - pulled
+
+    def value(self, z: np.ndarray, mask=None):
+        """The global energy per query, and the coefficients (with their
+        per-head total) whose ``pair_grad`` is its strict gradient."""
+        t = self.t
+        if self.gates is not None:
+            energies = self.energies(z)
+            coeff = self.gates * energies
+            if mask is not None:
+                coeff = np.where(mask, 0.0, coeff)
+            # d/dz of -(T/2) sum g E^2 = -T sum g E dE/dz
+            coeff = -t * coeff
+            return 0.5 * (coeff * energies).sum(axis=-1), coeff, coeff.sum(axis=-1)
+        weights, lse = self.boltzmann(z, mask)
+        if self.per_head:
+            h = self.heads
+            return (-t * lse).sum(axis=-1) / h, weights / h, 1.0 / h
+        return -t * lse, weights, 1.0
+
+    def evaluate(self, z: np.ndarray, limit=None):
+        value, coeff, total = self.value(
+            z, _mask_outside_prefix(limit, z.shape[1:], self.n))
+        grad = self.pair_grad(z, coeff, total)
+        return value, self.t * grad if self.tied else grad
+
+
+def _query(z: np.ndarray) -> np.ndarray:
+    """An operation's query point, which must be finite."""
+    if not np.isfinite(z).all():
+        raise ValueError("query has non-finite entries")
+    return z
+
+
+# ---------------------------------------------------------------------------
 # pair and global energies
 # ---------------------------------------------------------------------------
 
-def _feature(spec_pair: KernelInner):
-    return FEATURE_MAPS[spec_pair.feature_map]
-
-
 def pair_energies(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """All pair energies: shape (N,) single-head, (H, N) per-head."""
-    pair = spec.pair
-    if isinstance(pair, Elastic):
-        diff = z[:, None] - pair.weight @ tokens
-        return 0.5 * np.sum(diff * diff, axis=0)
-    if isinstance(pair, InnerProduct):
-        return -(pair.weight @ tokens).T @ z
-    if isinstance(pair, KernelInner):
-        fmap, _ = _feature(pair)
-        return -fmap(pair.w_key @ tokens).T @ fmap(pair.w_query @ z)
-    if isinstance(pair, PerHeadElastic):
-        rows = []
-        for w1, w2 in zip(pair.w_query, pair.w_key):
-            diff = (w1 @ z)[:, None] - w2 @ tokens
-            rows.append(0.5 * np.sum(diff * diff, axis=0))
-        return np.stack(rows)
-    if isinstance(pair, PerHeadInner):
-        rows = [-(w2 @ tokens).T @ (w1 @ z)
-                for w1, w2 in zip(pair.w_query, pair.w_key)]
-        return np.stack(rows)
-    raise ValueError(f"unknown pair energy {type(pair).__name__}")
+    return _Core(spec, tokens).energies(_query(z))
 
 
 def pair_energy(spec: EnergySpec, z: np.ndarray, token: np.ndarray,
                 head: int = 0) -> float:
-    """Energy of the interaction between ``z`` and one token."""
-    energies = pair_energies(spec, z, token.reshape(-1, 1))
-    if spec.per_head:
-        return float(energies[head, 0])
-    if head != 0:
-        raise ValueError("single-head energy has no head index")
-    return float(energies[0])
+    """Energy of the interaction between ``z`` and one token, in one head."""
+    if not 0 <= head < spec.heads:
+        raise ValueError(f"head {head} outside [0, {spec.heads})")
+    return float(pair_energies(spec, z, token.reshape(-1, 1)).reshape(-1)[head])
 
 
 def boltzmann_weights(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """Free-energy-minimizing weights softmax(-E/T), per head if applicable."""
-    energies = pair_energies(spec, z, tokens)
-    t = spec.temperature
-    if energies.ndim == 1:
-        return nk.softmax(-energies / t)
-    return np.stack([nk.softmax(-row / t) for row in energies])
+    return _Core(spec, tokens).boltzmann(_query(z))[0]
 
 
 def free_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
@@ -239,9 +359,10 @@ def free_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
     energies = pair_energies(spec, z, tokens)
     if p.shape != energies.shape:
         raise ValueError("weight vector length must match the token count")
-    if np.any(p < -1e-10) or abs(float(np.sum(p)) - 1.0) > 1e-10:
+    # written so that NaN weights fail
+    if not ((p >= -1e-10).all() and abs(float(p.sum()) - 1.0) <= 1e-10):
         raise ValueError("weights off the probability simplex")
-    p = np.clip(p, 0.0, None)
+    p = np.maximum(p, 0.0)
     internal = float(p @ energies)
     positive = p[p > 0.0]
     entropy = -float(positive @ np.log(positive))
@@ -250,12 +371,8 @@ def free_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
 
 def helmholtz_free_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> float:
     """Minimum free energy -T log Z; per-head mean in the multi-head case."""
-    energies = pair_energies(spec, z, tokens)
-    t = spec.temperature
-    if energies.ndim == 1:
-        return -t * nk.logsumexp(-energies / t)
-    per_head = [-t * nk.logsumexp(-row / t) for row in energies]
-    return float(np.mean(per_head))
+    lse = _Core(spec, tokens).boltzmann(_query(z))[1]
+    return float((-spec.temperature * lse).sum() / spec.heads)
 
 
 def upper_bound_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> float:
@@ -268,50 +385,21 @@ def upper_bound_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> f
     return helmholtz_free_energy(upper_bound_spec(spec), z, tokens)
 
 
-def _gates(spec: EnergySpec, n: int) -> np.ndarray:
-    g = spec.global_energy.gates
-    if g is None:
-        return np.ones(n)
-    if g.shape[0] != n:
-        raise ValueError("gates length must match the token count")
-    return g
-
-
 def square_sum_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> float:
     """Gated square-sum objective -(T/2) sum_i gates_i E_i^2."""
     if not isinstance(spec.global_energy, WeightedSquareSum):
         raise ValueError("square-sum energy requires the WeightedSquareSum form")
-    energies = pair_energies(spec, z, tokens)
-    gates = _gates(spec, energies.shape[-1])
-    return -0.5 * spec.temperature * float(gates @ (energies * energies))
+    return energy_value(spec, z, tokens)
 
 
 def energy_value(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> float:
     """The scalar objective the configuration's global energy selects."""
-    if isinstance(spec.global_energy, Helmholtz):
-        return helmholtz_free_energy(spec, z, tokens)
-    return square_sum_energy(spec, z, tokens)
+    return float(_Core(spec, tokens).value(_query(z))[0])
 
 
 # ---------------------------------------------------------------------------
 # gradients
 # ---------------------------------------------------------------------------
-
-def _pair_grad_sum(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
-                   coeff: np.ndarray) -> np.ndarray:
-    """sum_i coeff_i * d(pair energy_i)/dz for single-head pair kinds."""
-    pair = spec.pair
-    if isinstance(pair, Elastic):
-        mapped = pair.weight @ tokens
-        return float(np.sum(coeff)) * z - mapped @ coeff
-    if isinstance(pair, InnerProduct):
-        return -(pair.weight @ tokens) @ coeff
-    if isinstance(pair, KernelInner):
-        fmap, fderiv = _feature(pair)
-        keyed = fmap(pair.w_key @ tokens)
-        return -pair.w_query.T @ (fderiv(pair.w_query @ z) * (keyed @ coeff))
-    raise ValueError(f"unknown pair energy {type(pair).__name__}")
-
 
 def grad_z(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
            convention: str = "strict") -> np.ndarray:
@@ -319,219 +407,42 @@ def grad_z(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
 
     See the module docstring for the ``strict`` / ``tied`` conventions.
     """
-    if convention not in ("strict", "tied"):
-        raise ValueError(f"unknown gradient convention {convention!r}")
-    t = spec.temperature
-    pair = spec.pair
-    if isinstance(spec.global_energy, WeightedSquareSum):
-        energies = pair_energies(spec, z, tokens)
-        gates = _gates(spec, energies.shape[-1])
-        # d/dz of -(T/2) sum g E^2 = -T sum g E dE/dz; conventions coincide
-        return -t * _pair_grad_sum(spec, z, tokens, gates * energies)
-
-    weights = boltzmann_weights(spec, z, tokens)
-    if isinstance(pair, (Elastic, InnerProduct, KernelInner)):
-        grad = _pair_grad_sum(spec, z, tokens, weights)
-        if convention == "tied" and isinstance(pair, InnerProduct):
-            grad = t * grad
-        return grad
-    if isinstance(pair, PerHeadElastic):
-        grad = np.zeros_like(z)
-        for w1, w2, p in zip(pair.w_query, pair.w_key, weights):
-            grad += w1.T @ ((w1 @ z) - (w2 @ tokens) @ p)
-        return grad / spec.heads
-    if isinstance(pair, PerHeadInner):
-        grad = np.zeros_like(z)
-        for w1, w2, p in zip(pair.w_query, pair.w_key, weights):
-            grad -= w1.T @ ((w2 @ tokens) @ p)
-        grad = grad / spec.heads
-        if convention == "tied":
-            grad = t * grad
-        return grad
-    raise ValueError(f"unknown pair energy {type(pair).__name__}")
+    return _Core(spec, tokens, convention).evaluate(_query(z))[1]
 
 
 def grad_weight(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """Gradient of the single-head Helmholtz energy in the pair-energy map W."""
-    if not isinstance(spec.global_energy, Helmholtz):
-        raise ValueError("no analytic weight gradient for this energy configuration")
     pair = spec.pair
-    weights = boltzmann_weights(spec, z, tokens)
+    if not (isinstance(spec.global_energy, Helmholtz)
+            and isinstance(pair, (Elastic, InnerProduct))):
+        raise ValueError("no analytic weight gradient for this energy configuration")
+    core = _Core(spec, tokens)
+    weights = core.boltzmann(_query(z))[0]
     if isinstance(pair, InnerProduct):
         return -np.outer(z, tokens @ weights)
-    if isinstance(pair, Elastic):
-        mapped = pair.weight @ tokens
-        return ((mapped - z[:, None]) * weights) @ tokens.T
-    raise ValueError("no analytic weight gradient for this energy configuration")
-
-
-# ---------------------------------------------------------------------------
-# precomputed evaluation for iterative callers
-# ---------------------------------------------------------------------------
-
-_row_softmax_lse = nk.softmax_lse_rows
-
-
-def _mask_outside_prefix(values: np.ndarray, limit, fill: float) -> np.ndarray:
-    """``values`` (..., Q, N) with entry (q, n) set to ``fill`` for n >= limit[q].
-
-    ``limit=None`` keeps every column. A limit array must hold Q integers
-    in [1, N]: a zero limit would leave a query with no tokens, whose
-    softmax is NaN.
-    """
-    if limit is None:
-        return values
-    queries, tokens = values.shape[-2:]
-    limit = np.asarray(limit)
-    if limit.shape != (queries,) or not np.issubdtype(limit.dtype, np.integer):
-        raise ValueError(f"block limit must be None or an integer array of length "
-                         f"{queries} (one per query), got dtype {limit.dtype} "
-                         f"and shape {limit.shape}")
-    if queries and (limit.min() < 1 or limit.max() > tokens):
-        raise ValueError(f"block limits must lie in [1, {tokens}], got entries from "
-                         f"{limit.min()} to {limit.max()}")
-    return np.where(np.arange(tokens) >= limit[:, None], fill, values)
+    return ((core.keys - z[:, None]) * weights) @ tokens.T
 
 
 def gradient_engine(spec: EnergySpec, tokens: np.ndarray,
                     convention: str = "strict"):
-    """Return ``evaluate(z, limit=None) -> (energy, gradient)``.
+    """Return ``evaluate(z, limit=None) -> (energy, gradient)`` for any spec.
 
-    Token projections are computed once at construction, which is what
-    matters inside descent and loop iterations. Two call forms:
-
-    - vector: ``z`` of shape (d,) and ``limit`` None or an int; the query
-      sees ``tokens[:, :limit]`` and the call returns a float and a (d,)
-      gradient;
-    - block: ``z`` of shape d x Q (one query per column) and ``limit``
-      None (every query sees all N tokens) or a length-Q integer array
-      with entries in [1, N] (query q sees ``tokens[:, :limit[q]]``); the
-      call returns energies of shape (Q,) and gradients of shape d x Q from
-      one masked Q x N score matrix.
-
-    Results agree with ``energy_value``/``grad_z`` on each query's column
-    prefix up to float reassociation (~1e-15 relative). Raises for pair
-    energies without a precomputable form (kernelized maps), and for block
-    limits of the wrong length or outside [1, N].
+    The token projections are computed once, here, which is what matters
+    inside descent and loop iterations. ``z`` is one query (d,), with
+    ``limit`` None or an int, or a d x Q block, with ``limit`` None or Q
+    ints; query q sees ``tokens[:, :limit[q]]``, and a limit outside [1, N]
+    or of the wrong shape raises ``ValueError``. A block is one masked
+    Q x N score matrix per head; it returns energies (Q,) and gradients
+    d x Q. Results agree with ``energy_value``/``grad_z`` on each prefix up
+    to float reassociation (~1e-15 relative). Queries are not checked, so
+    an iteration sees a non-finite energy when it diverges.
     """
-    if convention not in ("strict", "tied"):
-        raise ValueError(f"unknown gradient convention {convention!r}")
-    pair = spec.pair
-    t = spec.temperature
-
-    if isinstance(spec.global_energy, WeightedSquareSum):
-        if not isinstance(pair, InnerProduct):
-            raise ValueError("no precomputable form for this energy")
-        mapped = pair.weight @ tokens
-        gates_full = _gates(spec, tokens.shape[1])
-
-        def evaluate(z, limit=None):
-            if z.ndim == 2:
-                energies = -(z.T @ mapped)
-                coeff = _mask_outside_prefix(gates_full * energies, limit, 0.0)
-                value = -0.5 * t * np.sum(coeff * energies, axis=1)
-                return value, t * (mapped @ coeff.T)
-            u = mapped[:, :limit]
-            gates = gates_full[:limit]
-            energies = -(u.T @ z)
-            value = -0.5 * t * float(gates @ (energies * energies))
-            return value, t * (u @ (gates * energies))
-
-        return evaluate
-
-    if isinstance(pair, Elastic):
-        mapped = pair.weight @ tokens
-        half_sq = 0.5 * np.sum(mapped * mapped, axis=0)
-
-        def evaluate(z, limit=None):
-            if z.ndim == 2:
-                energies = 0.5 * np.sum(z * z, axis=0)[:, None] - z.T @ mapped + half_sq
-                weights, lse = _row_softmax_lse(
-                    _mask_outside_prefix(-energies / t, limit, -np.inf))
-                return -t * lse, z - mapped @ weights.T
-            keys = mapped[:, :limit]
-            energies = 0.5 * float(z @ z) - keys.T @ z + half_sq[:limit]
-            weights, lse = _row_softmax_lse(-energies / t)
-            return -t * float(lse), z - keys @ weights
-
-        return evaluate
-
-    if isinstance(pair, InnerProduct):
-        mapped = pair.weight @ tokens
-        scale = -t if convention == "tied" else -1.0
-
-        def evaluate(z, limit=None):
-            if z.ndim == 2:
-                weights, lse = _row_softmax_lse(
-                    _mask_outside_prefix((z.T @ mapped) / t, limit, -np.inf))
-                return -t * lse, scale * (mapped @ weights.T)
-            u = mapped[:, :limit]
-            weights, lse = _row_softmax_lse((u.T @ z) / t)
-            return -t * float(lse), scale * (u @ weights)
-
-        return evaluate
-
-    if isinstance(pair, (PerHeadElastic, PerHeadInner)):
-        heads = spec.heads
-        w1_all = np.vstack(pair.w_query)  # (H*dh, d)
-        head_dim = pair.w_query[0].shape[0]
-        keys_all = np.stack([w2 @ tokens for w2 in pair.w_key])  # (H, dh, N)
-        if isinstance(pair, PerHeadElastic):
-            half_sq = 0.5 * np.sum(keys_all * keys_all, axis=1)  # (H, N)
-
-            def evaluate(z, limit=None):
-                if z.ndim == 2:
-                    queries = (w1_all @ z).reshape(heads, head_dim, -1)  # (H, dh, Q)
-                    energies = 0.5 * np.sum(queries * queries, axis=1)[:, :, None] \
-                        - queries.transpose(0, 2, 1) @ keys_all + half_sq[:, None, :]
-                    weights, lse = _row_softmax_lse(
-                        _mask_outside_prefix(-energies / t, limit, -np.inf))
-                    kbar = keys_all @ weights.transpose(0, 2, 1)  # (H, dh, Q)
-                    grad = w1_all.T @ (queries - kbar).reshape(heads * head_dim, -1)
-                    return np.mean(-t * lse, axis=0), grad / heads
-                keys = keys_all[:, :, :limit]
-                queries = (w1_all @ z).reshape(heads, head_dim)
-                cross = np.einsum("hd,hdn->hn", queries, keys)
-                energies = 0.5 * np.sum(queries * queries, axis=1)[:, None] \
-                    - cross + half_sq[:, :limit]
-                weights, lse = _row_softmax_lse(-energies / t)
-                kbar = np.einsum("hdn,hn->hd", keys, weights)
-                grad = w1_all.T @ (queries - kbar).ravel() / heads
-                return float(np.mean(-t * lse)), grad
-
-            return evaluate
-
-        scale = -t / heads if convention == "tied" else -1.0 / heads
-
-        def evaluate(z, limit=None):
-            if z.ndim == 2:
-                queries = (w1_all @ z).reshape(heads, head_dim, -1)  # (H, dh, Q)
-                weights, lse = _row_softmax_lse(_mask_outside_prefix(
-                    (queries.transpose(0, 2, 1) @ keys_all) / t, limit, -np.inf))
-                kbar = keys_all @ weights.transpose(0, 2, 1)  # (H, dh, Q)
-                return np.mean(-t * lse, axis=0), \
-                    scale * (w1_all.T @ kbar.reshape(heads * head_dim, -1))
-            keys = keys_all[:, :, :limit]
-            queries = (w1_all @ z).reshape(heads, head_dim)
-            scores = np.einsum("hd,hdn->hn", queries, keys)
-            weights, lse = _row_softmax_lse(scores / t)
-            kbar = np.einsum("hdn,hn->hd", keys, weights)
-            return float(np.mean(-t * lse)), scale * (w1_all.T @ kbar.ravel())
-
-        return evaluate
-
-    raise ValueError("no precomputable form for this energy")
+    return _Core(spec, tokens, convention).evaluate
 
 
 # ---------------------------------------------------------------------------
 # Hessians
 # ---------------------------------------------------------------------------
-
-def _weighted_covariance(columns: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_i w_i c_i c_i^T - (sum w c)(sum w c)^T over the columns."""
-    mean = columns @ weights
-    return (columns * weights) @ columns.T - np.outer(mean, mean)
-
 
 def hessian_split(spec: EnergySpec, z: np.ndarray,
                   tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -539,36 +450,26 @@ def hessian_split(spec: EnergySpec, z: np.ndarray,
 
     The psd part is the head-averaged Gram term of the query-side maps
     (the identity for the full-space elastic form); the nsd part is the
-    -1/T-scaled covariance of the per-pair gradient directions. Their sum
-    is the full Hessian; inner-product forms have a zero psd part, which
-    is what makes their objective concave.
+    -1/T-scaled covariance of the per-pair gradient directions (the
+    pulled-back keys, up to a shift per head). Their sum is the full
+    Hessian; inner-product forms have a zero psd part, which is what makes
+    their objective concave.
     """
     if not isinstance(spec.global_energy, Helmholtz):
         raise ValueError("Hessian is defined for the Helmholtz form only")
-    pair = spec.pair
-    t = spec.temperature
-    d = z.shape[0]
-    weights = boltzmann_weights(spec, z, tokens)
-    if isinstance(pair, Elastic):
-        residuals = z[:, None] - pair.weight @ tokens
-        return np.eye(d), -_weighted_covariance(residuals, weights) / t
-    if isinstance(pair, InnerProduct):
-        mapped = pair.weight @ tokens
-        return np.zeros((d, d)), -_weighted_covariance(mapped, weights) / t
-    if isinstance(pair, PerHeadElastic):
-        psd = np.zeros((d, d))
-        nsd = np.zeros((d, d))
-        for w1, w2, p in zip(pair.w_query, pair.w_key, weights):
-            residuals = w1.T @ ((w1 @ z)[:, None] - w2 @ tokens)
-            psd += w1.T @ w1
-            nsd -= _weighted_covariance(residuals, p) / t
-        return psd / spec.heads, nsd / spec.heads
-    if isinstance(pair, PerHeadInner):
-        nsd = np.zeros((d, d))
-        for w1, w2, p in zip(pair.w_query, pair.w_key, weights):
-            nsd -= _weighted_covariance(w1.T @ (w2 @ tokens), p) / t
-        return np.zeros((d, d)), nsd / spec.heads
-    raise ValueError("Hessian is not available for this pair energy")
+    if isinstance(spec.pair, KernelInner):
+        raise ValueError("Hessian is not available for this pair energy")
+    core = _Core(spec, tokens)
+    d, heads = z.shape[0], spec.heads
+    weights = core.boltzmann(_query(z))[0].reshape(heads, -1)
+    means = np.sum(core.keys.reshape(d, heads, -1) * weights, axis=-1)  # d x H
+    second = (core.keys * weights.ravel()) @ core.keys.T
+    nsd = (means @ means.T - second) / (spec.temperature * heads)
+    if core.inner:
+        return np.zeros((d, d)), nsd
+    if core.per_head:
+        return core.gram / heads, nsd
+    return np.eye(d), nsd
 
 
 def hessian_z(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
@@ -591,33 +492,21 @@ def stationary_point(spec: EnergySpec, z0: np.ndarray, tokens: np.ndarray,
     The result is accepted only when the fixed-point residual is below
     ``tol``.
     """
-    pair = spec.pair
-    if isinstance(pair, Elastic):
-        mapped = pair.weight @ tokens
-
-        def target(z):
-            return mapped @ boltzmann_weights(spec, z, tokens)
-    elif isinstance(pair, PerHeadElastic):
-        gram = np.zeros((z0.shape[0],) * 2)
-        for w1 in pair.w_query:
-            gram += w1.T @ w1
+    if not isinstance(spec.pair, (Elastic, PerHeadElastic)):
+        raise ValueError("stationary points are defined for elastic energies")
+    core = _Core(spec, tokens)
+    gram_inv = None
+    if core.per_head:
         try:
-            gram_inv = nk.solve_inverse(gram / spec.heads)
+            gram_inv = nk.solve_inverse(core.gram / spec.heads)
         except ValueError:
             return None
 
-        def target(z):
-            weights = boltzmann_weights(spec, z, tokens)
-            pulled = np.zeros_like(z)
-            for w1, w2, p in zip(pair.w_query, pair.w_key, weights):
-                pulled += w1.T @ ((w2 @ tokens) @ p)
-            return gram_inv @ (pulled / spec.heads)
-    else:
-        raise ValueError("stationary points are defined for elastic energies")
-
-    z = z0.copy()
+    z = _query(z0).copy()
     for _ in range(max_iters):
-        pulled = target(z)
+        pulled = core.keys @ core.boltzmann(z)[0].ravel() / spec.heads
+        if gram_inv is not None:
+            pulled = gram_inv @ pulled
         if float(np.linalg.norm(z - pulled)) < tol:
             return z
         z = (1.0 - damping) * z + damping * pulled

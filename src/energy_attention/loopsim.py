@@ -34,8 +34,8 @@ class LoopConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ValueError("iteration count must be nonnegative")
-        if self.eta <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError("learning rate must be finite and > 0")
 
 
 @dataclass
@@ -150,6 +150,14 @@ def _rebuild_spec(spec: en.EnergySpec, weight: np.ndarray) -> en.EnergySpec:
     return en.EnergySpec(type(spec.pair)(weight), spec.global_energy)
 
 
+def _trainable_weight(spec: en.EnergySpec) -> np.ndarray:
+    """A copy of the energy map that training updates."""
+    if not isinstance(spec.pair, (en.Elastic, en.InnerProduct)):
+        raise ValueError("training supports single-head Elastic or InnerProduct "
+                         f"pair energies, not {type(spec.pair).__name__}")
+    return spec.pair.weight.copy()
+
+
 def _require_head(cfg: LoopConfig, classes: int) -> np.ndarray:
     if cfg.head is not None:
         return nk.as_matrix(cfg.head).copy()
@@ -173,8 +181,8 @@ def alternating_optimize(cfg: LoopConfig, dataset, epochs: int,
         raise ValueError("dataset must be nonempty")
     eta = cfg.eta if eta is None else eta
     classes = dataset[0][1].shape[0]
+    weight = _trainable_weight(cfg.spec)
     head = _require_head(cfg, classes)
-    weight = cfg.spec.pair.weight.copy()
     spec = _rebuild_spec(cfg.spec, weight)
     queries = [np.mean(tokens, axis=1) for tokens, _ in dataset]
 
@@ -224,8 +232,8 @@ def loop_alternating_optimize(cfg: LoopConfig, dataset, epochs: int,
         raise ValueError("dataset must be nonempty")
     eta = cfg.eta if eta is None else eta
     classes = dataset[0][1].shape[0]
+    weight = _trainable_weight(cfg.spec)
     head = _require_head(cfg, classes)
-    weight = cfg.spec.pair.weight.copy()
     spec = _rebuild_spec(cfg.spec, weight)
 
     def run_forward(tokens):

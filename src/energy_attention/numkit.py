@@ -200,9 +200,9 @@ def softmax(values: np.ndarray) -> np.ndarray:
 
 def softmax_lse_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (softmax, log-sum-exp) with the same max-shift stabilization."""
-    top = np.max(scores, axis=-1, keepdims=True)
+    top = scores.max(axis=-1, keepdims=True)
     shifted = np.exp(scores - top)
-    total = np.sum(shifted, axis=-1)
+    total = shifted.sum(axis=-1)
     return shifted / total[..., None], top[..., 0] + np.log(total)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -404,6 +405,10 @@ def test_params_validation():
             score_temp=(1.0,), bias_temp=(1.0,))
     with pytest.raises(ValueError, match="temperatures"):
         attn.single_head_params(np.eye(2), np.eye(2), np.eye(2), 0.0)
+    good = attn.single_head_params(np.eye(2), np.eye(2), np.eye(2), 1.0)
+    for field in ("score_temp", "bias_temp"):
+        with pytest.raises(ValueError, match="temperatures must be finite and > 0"):
+            dataclasses.replace(good, **{field: (math.nan,)})
     params = attn.random_params(rng, 8, 2)
     assert params.tau == (0.01, 0.01)
     assert params.beta == 0.9 and params.eta == 1.0

@@ -237,3 +237,16 @@ def test_optimizer_validation():
     with pytest.raises(ValueError):
         de.descend(en.elastic_spec(np.eye(2), 1.0), de.NewtonSubspace(mode="pade"),
                    np.zeros(2), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("optimizer, kwargs, message", [
+    (de.Vanilla(math.nan), {}, "learning rate must be finite and > 0"),
+    (de.NewtonSubspace(eta=math.nan), {}, "learning rate must be finite and > 0"),
+    (de.NewtonSubspace(eta=math.inf), {}, "learning rate must be finite and > 0"),
+    (de.NewtonSubspace(eps=math.nan), {}, "regularization must be finite and >= 0"),
+    (de.Vanilla(0.1), {"tol": math.nan}, "tolerance must be finite and > 0"),
+])
+def test_descend_rejects_non_finite_scalars(optimizer, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        de.descend(en.elastic_spec(np.eye(2), 1.0), optimizer, np.zeros(2),
+                   np.ones((2, 1)), max_iters=3, **kwargs)

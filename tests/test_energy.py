@@ -60,6 +60,11 @@ def test_pair_energy_per_head_indexing():
         w1, w2 = spec.pair.w_query[head], spec.pair.w_key[head]
         expected = 0.5 * float(np.sum((w1 @ z - w2 @ h) ** 2))
         assert en.pair_energy(spec, z, h, head) == pytest.approx(expected, abs=1e-14)
+    for head in (-1, 2):
+        with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+            en.pair_energy(spec, z, h, head)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        en.pair_energy(specs["elastic"], z, h, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +113,9 @@ def test_free_energy_rejects_off_simplex():
         en.free_energy(spec, z, tokens, np.array([0.5, 0.5, 0.5]))
     with pytest.raises(ValueError, match="simplex"):
         en.free_energy(spec, z, tokens, np.array([1.2, -0.2, 0.0]))
+    for nan_weights in ([np.nan, 0.5, 0.5], [np.nan] * 3):
+        with pytest.raises(ValueError, match="simplex"):
+            en.free_energy(spec, z, tokens, np.array(nan_weights))
 
 
 def test_boltzmann_weights_equal_energies_uniform():
@@ -510,7 +518,8 @@ def test_gradient_engine_matches_ops():
     rng = nk.Rng(44)
     z = rng.normal_vector(8)
     tokens = rng.normal_matrix(8, 9)
-    for name in ("elastic", "inner", "per-head-elastic", "per-head-inner"):
+    for name in ("elastic", "inner", "kernel-exp", "kernel-identity",
+                 "per-head-elastic", "per-head-inner"):
         for conv in ("strict", "tied"):
             evaluate = en.gradient_engine(specs[name], tokens, conv)
             value, grad = evaluate(z)
@@ -524,23 +533,23 @@ def test_gradient_engine_matches_ops():
                 en.energy_value(specs[name], z, prefix), abs=1e-12)
             np.testing.assert_allclose(
                 grad, en.grad_z(specs[name], z, prefix, conv), atol=1e-13)
-    sq = en.square_sum_spec(specs["square-sum"].pair.weight, 0.7,
-                            nk.Rng(45).uniforms(9))
-    evaluate = en.gradient_engine(sq, tokens)
-    value, grad = evaluate(z)
-    assert value == pytest.approx(en.energy_value(sq, z, tokens), abs=1e-12)
-    np.testing.assert_allclose(grad, en.grad_z(sq, z, tokens), atol=1e-13)
-    with pytest.raises(ValueError):
-        en.gradient_engine(specs["kernel-exp"], tokens)
+    gates = nk.Rng(45).uniforms(9)
+    for sq in (en.square_sum_spec(specs["square-sum"].pair.weight, 0.7, gates),
+               en.EnergySpec(specs["kernel-exp"].pair, en.WeightedSquareSum(0.7, gates))):
+        evaluate = en.gradient_engine(sq, tokens)
+        value, grad = evaluate(z)
+        assert value == pytest.approx(en.energy_value(sq, z, tokens), abs=1e-12)
+        np.testing.assert_allclose(grad, en.grad_z(sq, z, tokens), atol=1e-13)
 
 
 def _engine_specs(seed, tokens):
-    """Every kind gradient_engine accepts; square-sum gated over ``tokens``."""
+    """One spec of every kind; the square-sum kinds gated over ``tokens``."""
     specs = _random_specs(seed)
     gates = nk.Rng(seed + 1).uniforms(tokens)
     specs["square-sum"] = en.square_sum_spec(specs["square-sum"].pair.weight, 0.7,
                                              gates)
-    del specs["kernel-exp"], specs["kernel-identity"]
+    specs["kernel-square-sum"] = en.EnergySpec(specs["kernel-exp"].pair,
+                                               en.WeightedSquareSum(0.7, gates))
     return specs
 
 
@@ -548,7 +557,7 @@ def _prefix_spec(spec, n):
     """``spec`` restricted to the first ``n`` tokens (gates truncated)."""
     g = spec.global_energy
     if isinstance(g, en.WeightedSquareSum) and g.gates is not None:
-        return en.square_sum_spec(spec.pair.weight, g.temperature, g.gates[:n])
+        return en.EnergySpec(spec.pair, en.WeightedSquareSum(g.temperature, g.gates[:n]))
     return spec
 
 
@@ -594,8 +603,9 @@ def test_gradient_engine_block_rejects_bad_limits(limit, message):
             evaluate(block, np.array(limit))
 
 
-_ENGINE_KINDS = ("elastic", "inner", "per-head-elastic", "per-head-inner",
-                 "square-sum")
+_ENGINE_KINDS = ("elastic", "inner", "kernel-exp", "kernel-identity",
+                 "per-head-elastic", "per-head-inner", "square-sum",
+                 "kernel-square-sum")
 
 
 @st.composite
@@ -627,6 +637,15 @@ def _case_spec(case, rng):
         build = (en.per_head_elastic_spec if case["kind"] == "per-head-elastic"
                  else en.per_head_inner_spec)
         return build(*maps, t)
+    if case["kind"].startswith("kernel"):
+        maps = [rng.standard_normal((case["head_dim"], d)) * (0.3 / math.sqrt(d))
+                for _ in range(2)]
+        spec = en.kernel_spec(*maps, t, "identity" if "identity" in case["kind"]
+                              else "exp")
+        if case["kind"] == "kernel-square-sum":
+            spec = en.EnergySpec(spec.pair, en.WeightedSquareSum(
+                t, rng.uniform(size=case["tokens"])))
+        return spec
     w = rng.standard_normal((d, d)) / math.sqrt(d)
     if case["kind"] == "square-sum":
         return en.square_sum_spec(w, t, rng.uniform(size=case["tokens"]))
@@ -661,9 +680,134 @@ def test_gradient_engine_block_equals_vector_calls(case):
         np.testing.assert_allclose(grads[:, k], grad, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("limit", [-2, 0, 10, 14])
+def test_gradient_engine_rejects_bad_vector_limits(limit):
+    rng = nk.Rng(52)
+    z = rng.normal_vector(8)
+    tokens = rng.normal_matrix(8, 9)
+    for spec in _engine_specs(53, 9).values():
+        evaluate = en.gradient_engine(spec, tokens)
+        with pytest.raises(ValueError, match=r"\[1, 9\]"):
+            evaluate(z, limit)
+        with pytest.raises(ValueError, match="integer"):
+            evaluate(z, float(limit))
+
+
+def test_queries_checked_by_operations_not_by_the_engine():
+    rng = nk.Rng(54)
+    tokens = rng.normal_matrix(8, 5)
+    z = rng.normal_vector(8)
+    z[3] = np.nan
+    for spec in _engine_specs(55, 5).values():
+        for op in (en.pair_energies, en.energy_value, en.grad_z):
+            with pytest.raises(ValueError, match="non-finite"):
+                op(spec, z, tokens)
+        # a diverging iteration must see its non-finite energy, not an error
+        values, grads = en.gradient_engine(spec, tokens)(np.stack([z, z], axis=1))
+        assert not np.any(np.isfinite(values))
+
+
+# ---------------------------------------------------------------------------
+# an independent dense oracle: textbook formulas, one Python loop per head
+# ---------------------------------------------------------------------------
+
+def _oracle_heads(spec, z, tokens):
+    """Per head: the pair energies (N,), their gradients in z (d x N) and the
+    query-side Gram term of the Hessian."""
+    pair, d = spec.pair, z.shape[0]
+    if isinstance(pair, en.KernelInner):
+        fmap, fderiv = en.FEATURE_MAPS[pair.feature_map]
+        keyed = fmap(pair.w_key @ tokens)
+        energies = -(keyed.T @ fmap(pair.w_query @ z))
+        grads = -pair.w_query.T @ (fderiv(pair.w_query @ z)[:, None] * keyed)
+        return [(energies, grads, None)]
+    if isinstance(pair, (en.Elastic, en.InnerProduct)):
+        maps = [(np.eye(d), pair.weight)]
+    else:
+        maps = list(zip(pair.w_query, pair.w_key))
+    heads = []
+    for w1, w2 in maps:
+        q, keys = w1 @ z, w2 @ tokens
+        if isinstance(pair, (en.Elastic, en.PerHeadElastic)):
+            diff = q[:, None] - keys
+            heads.append((0.5 * np.sum(diff * diff, axis=0), w1.T @ diff, w1.T @ w1))
+        else:
+            heads.append((-(keys.T @ q), -(w1.T @ keys), np.zeros((d, d))))
+    return heads
+
+
+def _oracle(spec, z, tokens, convention="strict"):
+    """(energies, weights, value, gradient, (psd, nsd)); the weights are None
+    for the square sum, and the Hessian parts for it and for kernels."""
+    t, heads = spec.temperature, _oracle_heads(spec, z, tokens)
+    if isinstance(spec.global_energy, en.WeightedSquareSum):
+        e, grads, _ = heads[0]
+        g = spec.global_energy.gates
+        return e, None, -0.5 * t * float(np.sum(g * e * e)), -t * grads @ (g * e), None
+    d, h = z.shape[0], len(heads)
+    energies, weights, value = [], [], 0.0
+    grad, psd, nsd = np.zeros(d), np.zeros((d, d)), np.zeros((d, d))
+    for e, grads, gram in heads:
+        low = float(np.min(e))
+        boltz = np.exp(-(e - low) / t)
+        p = boltz / np.sum(boltz)
+        energies.append(e)
+        weights.append(p)
+        value += (low - t * math.log(float(np.sum(boltz)))) / h
+        grad += grads @ p / h
+        if gram is not None:
+            centered = grads - (grads @ p)[:, None]
+            psd += gram / h
+            nsd -= (centered * p) @ centered.T / (t * h)
+    if convention == "tied" and isinstance(spec.pair, (en.InnerProduct, en.PerHeadInner)):
+        grad = t * grad
+    hessian = None if heads[0][2] is None else (psd, nsd)
+    if not spec.per_head:
+        return energies[0], weights[0], value, grad, hessian
+    return np.stack(energies), np.stack(weights), value, grad, hessian
+
+
+@pytest.mark.parametrize("name", _ENGINE_KINDS)
+def test_core_and_ops_match_dense_oracle(name):
+    n, q = 9, 4
+    rng = nk.Rng(56)
+    tokens = rng.normal_matrix(8, n)
+    block = rng.normal_matrix(8, q)
+    spec = _engine_specs(57, n)[name]
+    core = en._Core(spec, tokens)
+    block_energies = core.energies(block)
+    for conv in ("strict", "tied"):
+        values, grads = en.gradient_engine(spec, tokens, conv)(block)
+        for k in range(q):
+            z = block[:, k]
+            energies, weights, value, grad, hessian = _oracle(spec, z, tokens, conv)
+            np.testing.assert_allclose(en.pair_energies(spec, z, tokens), energies,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(block_energies[k], energies, rtol=0, atol=1e-12)
+            assert en.energy_value(spec, z, tokens) == pytest.approx(value, abs=1e-12)
+            assert values[k] == pytest.approx(value, abs=1e-12)
+            np.testing.assert_allclose(en.grad_z(spec, z, tokens, conv), grad, atol=1e-13)
+            np.testing.assert_allclose(grads[:, k], grad, atol=1e-13)
+            if weights is None:
+                continue
+            np.testing.assert_allclose(en.boltzmann_weights(spec, z, tokens), weights,
+                                       atol=1e-13)
+            np.testing.assert_allclose(core.boltzmann(block)[0][k], weights, atol=1e-13)
+            assert en.helmholtz_free_energy(spec, z, tokens) == pytest.approx(
+                value, abs=1e-12)
+            if hessian is not None:
+                for got, expected in zip(en.hessian_split(spec, z, tokens), hessian):
+                    np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="temperature"):
         en.elastic_spec(np.eye(2), 0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            en.elastic_spec(np.eye(2), bad)
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            en.square_sum_spec(np.eye(2), bad)
     with pytest.raises(ValueError, match="heads"):
         en.EnergySpec(en.PerHeadElastic((np.ones((1, 2)),), (np.ones((1, 2)),)),
                       en.Helmholtz(1.0), heads=2)

@@ -290,6 +290,28 @@ def test_alternating_requires_data():
         ls.alternating_optimize(cfg, [], epochs=1)
 
 
+def test_loop_config_rejects_non_finite_rate():
+    cfg, _ = _training_config(3)
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="learning rate must be finite and > 0"):
+            ls.LoopConfig(cfg.spec, 1, eta)
+
+
+def test_training_rejects_unsupported_specs():
+    rng = nk.Rng(4)
+    maps = [tuple(rng.normal_matrix(4, 8) for _ in range(2)) for _ in range(2)]
+    specs = (en.per_head_elastic_spec(*maps, 1.0), en.per_head_inner_spec(*maps, 1.0),
+             en.kernel_spec(rng.normal_matrix(8, 8), rng.normal_matrix(8, 8), 1.0))
+    data = ls.two_cluster_dataset(rng, 1, 4, 8)
+    sequences = [(tokens, np.tile(label[:, None], (1, 4))) for tokens, label in data]
+    for spec in specs:
+        cfg = ls.LoopConfig(spec, 1, 0.1, causal=False)
+        for train, dataset in ((ls.alternating_optimize, data),
+                               (ls.loop_alternating_optimize, sequences)):
+            with pytest.raises(ValueError, match="single-head Elastic or InnerProduct"):
+                train(cfg, dataset, epochs=1)
+
+
 def test_loop_alternating_runs_and_improves():
     cfg, rng = _training_config(3, iterations=2)
     cfg = ls.LoopConfig(cfg.spec, 2, 0.05, causal=True, head=cfg.head)
