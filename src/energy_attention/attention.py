@@ -2,20 +2,27 @@
 
 Every variant is a pure function of ``(params, z, tokens)``; the momentum
 variants additionally thread an explicit ``MomentumState`` so callers decide
-whether stacked applications share or reset it. Token matrices are d x N.
+whether stacked applications share or reset it. Token matrices are d x N;
+every forward rejects a query that is not a finite length-d vector and
+tokens that are not a finite d x N matrix with N >= 1.
 
-Two score families exist, both routed through the same softmax utility:
-inner-product scores q . k / T (standard and light variants) and negative
-squared-distance scores -||q - k||^2 / (2 T) (the Newton-preconditioned
-variants, whose weights are the Boltzmann weights of the elastic energy).
+Two score families exist, both scoring all heads at once from the params'
+row-stacked projections: inner-product scores q . k / T (standard and light
+variants) and negative squared-distance scores -||q - k||^2 / (2 T) (the
+Newton-preconditioned variants, whose weights are the Boltzmann weights of
+the elastic energy). The Newton step itself, exact or Taylor-truncated, is
+``energy.newton_step``, the one the descent optimizer takes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
+from energy_attention import energy as en
 from energy_attention import numkit as nk
 
 
@@ -27,7 +34,9 @@ class AttentionParams:
     is d x d_h, and heads * d_h must equal d. ``score_temp`` scales attention
     scores, ``bias_temp`` scales the second-order bias term, ``tau`` gates the
     covariance bias of the light variant. Defaults follow the standard
-    initializations: beta 0.9, eta 1.0, tau 0.01.
+    initializations: beta 0.9, eta 1.0, tau 0.01. Every forward scores all
+    heads at once from the stacked forms below, built lazily because the
+    verifiers build a parameter set per instance.
     """
 
     w_query: tuple[np.ndarray, ...]
@@ -58,10 +67,16 @@ class AttentionParams:
                 raise ValueError("output projections must be dim x head_dim")
         if not all(np.isfinite(t) and t > 0.0 for t in self.score_temp + self.bias_temp):
             raise ValueError("temperatures must be finite and > 0")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError("learning rate must be finite and > 0")
+        if not 0.0 <= self.beta < 1.0:
+            raise ValueError("momentum coefficient must lie in [0, 1)")
         if not self.tau:
             object.__setattr__(self, "tau", (0.01,) * heads)
         elif len(self.tau) != heads:
             raise ValueError("tau must have one entry per head")
+        if not all(math.isfinite(t) for t in self.tau):
+            raise ValueError("tau must be finite")
 
     @property
     def heads(self) -> int:
@@ -74,6 +89,15 @@ class AttentionParams:
     @property
     def head_dim(self) -> int:
         return self.w_query[0].shape[0]
+
+    # row-stacked W_q/W_k/W_v (H d_h x d), side-by-side W_o (d x H d_h) and
+    # temperature columns (H, 1), built on first use
+    query_stack = cached_property(lambda self: np.vstack(self.w_query))
+    key_stack = cached_property(lambda self: np.vstack(self.w_key))
+    value_stack = cached_property(lambda self: np.vstack(self.w_value))
+    out_stack = cached_property(lambda self: np.hstack(self.w_out))
+    score_temps = cached_property(lambda self: np.array(self.score_temp)[:, None])
+    bias_temps = cached_property(lambda self: np.array(self.bias_temp)[:, None])
 
 
 def single_head_params(w_query, w_key, w_value, temperature: float,
@@ -130,53 +154,76 @@ class MomentumState:
 
 @dataclass(frozen=True, eq=False)
 class RangeSpaceCache:
-    """Precomputation shared by every forward call of one parameter set.
+    """Precomputation shared by every Newton-family call of one parameter set:
+    the range maps M_h = W_q^T (W_q W_q^T)^-1 stacked (H, d, d_h), the only
+    inverse the Newton variants need, and the fused Taylor output chains
+    W_o,h W_v,h M_h side by side, d x (H d_h). The row-stacked projections
+    every forward scores with are held by the params."""
 
-    Holds the per-head range maps M_h = W_q^T (W_q W_q^T)^-1 (the only
-    inverse the Newton variants need, so it is computed exactly once), the
-    row-stacked query/key projections (one matrix product per call instead
-    of one per head), and the fused Taylor output chains W_o,h W_v,h M_h.
-    """
-
-    maps: tuple[np.ndarray, ...]
-    query_stack: np.ndarray
-    key_stack: np.ndarray
+    maps: np.ndarray
     taylor_out_stack: np.ndarray
-    score_temps: np.ndarray
-    bias_temps: np.ndarray
 
 
 def range_space_cache(params: AttentionParams) -> RangeSpaceCache:
-    maps = tuple(nk.range_space_pinv(w) for w in params.w_query)
+    maps = np.stack([nk.range_space_pinv(w) for w in params.w_query])
     fused = np.hstack([params.w_out[h] @ (params.w_value[h] @ maps[h])
                        for h in range(params.heads)])
-    return RangeSpaceCache(maps, np.vstack(params.w_query),
-                           np.vstack(params.w_key), fused,
-                           np.array(params.score_temp)[:, None],
-                           np.array(params.bias_temp)[:, None])
+    return RangeSpaceCache(maps, fused)
+
+
+def _inputs(params: AttentionParams, z, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """A forward's query as a finite length-d vector and its tokens as a
+    finite d x N matrix with N >= 1."""
+    z, tokens = np.asarray(z, dtype=np.float64), np.asarray(tokens, dtype=np.float64)
+    dim = params.dim
+    if z.shape != (dim,):
+        raise ValueError(f"query must be a length-{dim} vector, got shape {z.shape}")
+    if tokens.ndim != 2 or tokens.shape[0] != dim or tokens.shape[1] < 1:
+        raise ValueError(f"tokens must be a {dim} x N matrix with N >= 1, "
+                         f"got shape {tokens.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("query has non-finite entries")
+    if not np.isfinite(tokens).all():
+        raise ValueError("tokens have non-finite entries")
+    return z, tokens
+
+
+def _head_weights(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
+                  distance: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every head's queries (H, d_h), keys (H, d_h, N) and softmax weights
+    (H, N) for checked inputs. Distance scores drop the row constant
+    -||q||^2 / (2 T), which the softmax ignores."""
+    z, tokens = _inputs(params, z, tokens)
+    heads, n = params.heads, tokens.shape[1]
+    queries = (params.query_stack @ z).reshape(heads, -1)
+    keys = (params.key_stack @ tokens).reshape(heads, -1, n)
+    scores = np.matmul(queries[:, None, :], keys)[:, 0, :]
+    if distance:
+        scores -= 0.5 * np.einsum("hdn,hdn->hn", keys, keys)
+    return queries, keys, nk.softmax_lse_rows(scores / params.score_temps)[0]
+
+
+def _value_means(params: AttentionParams, z: np.ndarray, tokens: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inner-product weights (H, N), head values (H, d_h, N) and their
+    weighted means vbar_h (H, d_h)."""
+    weights = _head_weights(params, z, tokens, distance=False)[2]
+    values = (params.value_stack @ tokens).reshape(params.heads, -1,
+                                                    tokens.shape[1])
+    return weights, values, np.matmul(values, weights[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
 # first-order variants
 # ---------------------------------------------------------------------------
 
-def _inner_weights(q: np.ndarray, keys: np.ndarray, temp: float) -> np.ndarray:
-    return nk.softmax((q @ keys) / temp)
-
-
-def _distance_weights(q: np.ndarray, keys: np.ndarray, temp: float) -> np.ndarray:
-    sq = keys - q[:, None]
-    return nk.softmax(-0.5 * np.sum(sq * sq, axis=0) / temp)
-
-
 def softmax_attention(params: AttentionParams, z: np.ndarray,
                       tokens: np.ndarray) -> np.ndarray:
-    """z + W_v H softmax(scores / T) for a square single-head container."""
+    """z + W_v H softmax(scores / T) for a square single-head container: the
+    multi-head forward, whose W_o is the identity from ``single_head_params``."""
     if params.heads != 1 or params.head_dim != params.dim:
         raise ValueError("softmax_attention requires square single-head params")
-    weights = _inner_weights(params.w_query[0] @ z, params.w_key[0] @ tokens,
-                             params.score_temp[0])
-    return z + (params.w_value[0] @ tokens) @ weights
+    return mha(params, z, tokens)
 
 
 def linear_attention(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
@@ -184,6 +231,7 @@ def linear_attention(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
     """z + sum_i gates_i (q . k_i) W_v h_i; softmax-free scores, gates default 1."""
     if params.heads != 1 or params.head_dim != params.dim:
         raise ValueError("linear_attention requires square single-head params")
+    z, tokens = _inputs(params, z, tokens)
     scores = (params.w_query[0] @ z) @ (params.w_key[0] @ tokens)
     if gates is not None:
         gates = nk.as_vector(gates, dim=tokens.shape[1])
@@ -193,12 +241,7 @@ def linear_attention(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
 
 def mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """Multi-head forward: z + sum_h W_o,h (W_v,h H) softmax(scores_h / T_h)."""
-    out = z.copy()
-    for h in range(params.heads):
-        weights = _inner_weights(params.w_query[h] @ z, params.w_key[h] @ tokens,
-                                 params.score_temp[h])
-        out += params.w_out[h] @ ((params.w_value[h] @ tokens) @ weights)
-    return out
+    return z + params.out_stack @ _value_means(params, z, tokens)[2].ravel()
 
 
 def momen_mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
@@ -209,6 +252,7 @@ def momen_mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
     p' = beta p - (mha(z) - z), output z - eta p'. With zero momentum and
     eta = 1 this reduces to the plain forward.
     """
+    z, tokens = _inputs(params, z, tokens)
     if state.momentum.shape != z.shape:
         raise ValueError("momentum state dimension mismatch")
     grad_proxy = -(mha(params, z, tokens) - z)
@@ -225,6 +269,7 @@ def nag_mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
     z - eta p'. With zero momentum and eta = 1 this reduces to the plain
     forward.
     """
+    z, tokens = _inputs(params, z, tokens)
     if state.momentum.shape != z.shape:
         raise ValueError("momentum state dimension mismatch")
     ahead = (z if params.beta == 0.0
@@ -238,15 +283,6 @@ def nag_mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
 # Newton-preconditioned variants
 # ---------------------------------------------------------------------------
 
-def _head_stats(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
-                h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Distance-score weights and key statistics for one head: (q, K, p, kbar)."""
-    q = params.w_query[h] @ z
-    keys = params.w_key[h] @ tokens
-    weights = _distance_weights(q, keys, params.score_temp[h])
-    return q, keys, weights, keys @ weights
-
-
 def mha2nd_exact(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
                  cache: RangeSpaceCache | None = None,
                  eps: float = 0.0) -> np.ndarray:
@@ -255,61 +291,17 @@ def mha2nd_exact(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
     Each head applies the range-space pseudoinverse of its query map and
     inverts the d_h x d_h bracket I - (1/T_b) sum_i p_i d_i d_i^T built from
     centered keys d_i = k_i - kbar. Output: z - (eta/H) sum_h M_h B_h^-1
-    (q_h - kbar_h). ``eps`` optionally regularizes the bracket (off by
+    (q_h - kbar_h). ``eps`` >= 0 optionally regularizes the bracket (off by
     default).
     """
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError("regularization must be finite and >= 0")
     if cache is None:
         cache = range_space_cache(params)
-    out = z.copy()
-    scale = params.eta / params.heads
-    for h in range(params.heads):
-        q, keys, weights, kbar = _head_stats(params, z, tokens, h)
-        centered = keys - kbar[:, None]
-        bracket = -(centered * weights) @ centered.T / params.bias_temp[h]
-        bracket += (1.0 + eps) * np.eye(params.head_dim)
-        try:
-            bracket_inv = nk.solve_inverse(bracket)
-        except ValueError as err:
-            raise ValueError("Hessian preconditioner singular") from err
-        out -= scale * (cache.maps[h] @ (bracket_inv @ (q - kbar)))
-    return out
-
-
-def _taylor_bias(keys: np.ndarray, weights: np.ndarray, kbar: np.ndarray,
-                 offset: np.ndarray, temp: float) -> np.ndarray:
-    """(1/T) [sum_i p_i k_i (k_i . offset) - kbar (kbar . offset)].
-
-    Inner products first: no head_dim x head_dim intermediate is formed,
-    keeping the cost linear in the token count.
-    """
-    per_key = keys.T @ offset
-    return (keys @ (weights * per_key) - kbar * float(kbar @ offset)) / temp
-
-
-def _batched_offsets_and_biases(params: AttentionParams, z: np.ndarray,
-                                tokens: np.ndarray,
-                                cache: RangeSpaceCache) -> np.ndarray:
-    """(q_h - kbar_h + b_h) for all heads at once, shape (heads, head_dim).
-
-    One stacked key projection feeds every head; scores, means and the
-    inner-products-first bias are batched matrix-vector products, so the
-    per-call cost beyond the projections stays O(N d + d^2 / heads). The
-    row-constant 0.5 ||q||^2 term of the squared distance is dropped: the
-    softmax is invariant to it.
-    """
-    heads, head_dim = params.heads, params.head_dim
-    n = tokens.shape[1]
-    queries = (cache.query_stack @ z).reshape(heads, head_dim)
-    keys = (cache.key_stack @ tokens).reshape(heads, head_dim, n)
-    cross = np.matmul(queries[:, None, :], keys)[:, 0, :]           # (H, N)
-    scores = (cross - 0.5 * np.einsum("hdn,hdn->hn", keys, keys)) / cache.score_temps
-    weights, _ = nk.softmax_lse_rows(scores)
-    kbar = np.matmul(keys, weights[:, :, None])[:, :, 0]            # (H, dh)
-    offsets = queries - kbar
-    per_key = np.matmul(offsets[:, None, :], keys)[:, 0, :]         # (H, N)
-    biases = np.matmul(keys, (weights * per_key)[:, :, None])[:, :, 0] \
-        - kbar * np.sum(kbar * offsets, axis=1)[:, None]
-    return offsets + biases / cache.bias_temps
+    steps = en.newton_step(*_head_weights(params, z, tokens, distance=True),
+                           params.bias_temps, "exact", eps)
+    moved = np.einsum("hdk,hk->d", cache.maps, steps)
+    return z - (params.eta / params.heads) * moved
 
 
 def mha2nd1st(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
@@ -322,7 +314,8 @@ def mha2nd1st(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
     """
     if cache is None:
         cache = range_space_cache(params)
-    moved = _batched_offsets_and_biases(params, z, tokens, cache)
+    moved = en.newton_step(*_head_weights(params, z, tokens, distance=True),
+                           params.bias_temps, "taylor1")
     return z + cache.taylor_out_stack @ moved.ravel()
 
 
@@ -330,13 +323,9 @@ def mha2nd1st_no_v(params: AttentionParams, z: np.ndarray,
                    tokens: np.ndarray) -> np.ndarray:
     """Taylor-truncated variant with W_v and the range map folded into W_o:
     z + sum_h W_o,h (q_h - kbar_h + b_h)."""
-    out = z.copy()
-    for h in range(params.heads):
-        q, keys, weights, kbar = _head_stats(params, z, tokens, h)
-        offset = q - kbar
-        bias = _taylor_bias(keys, weights, kbar, offset, params.bias_temp[h])
-        out += params.w_out[h] @ (offset + bias)
-    return out
+    moved = en.newton_step(*_head_weights(params, z, tokens, distance=True),
+                           params.bias_temps, "taylor1")
+    return z + params.out_stack @ moved.ravel()
 
 
 def light_mha2nd1st(params: AttentionParams, z: np.ndarray,
@@ -348,16 +337,12 @@ def light_mha2nd1st(params: AttentionParams, z: np.ndarray,
     the bias being the value covariance applied to vbar_h. With tau = 0 this
     is a plain W_o-projected multi-head forward.
     """
-    out = z.copy()
-    for h in range(params.heads):
-        weights = _inner_weights(params.w_query[h] @ z, params.w_key[h] @ tokens,
-                                 params.score_temp[h])
-        values = params.w_value[h] @ tokens
-        vbar = values @ weights
-        per_value = values.T @ vbar
-        bias = values @ (weights * per_value) - vbar * float(vbar @ vbar)
-        out += params.w_out[h] @ (vbar + params.tau[h] * bias)
-    return out
+    weights, values, vbar = _value_means(params, z, tokens)
+    per_value = np.matmul(vbar[:, None, :], values)[:, 0, :]
+    bias = (np.matmul(values, (weights * per_value)[:, :, None])[:, :, 0]
+            - vbar * np.sum(vbar * vbar, axis=1)[:, None])
+    taus = np.array(params.tau)[:, None]
+    return z + params.out_stack @ (vbar + taus * bias).ravel()
 
 
 def tied_newton_params(params: AttentionParams) -> AttentionParams:
@@ -368,9 +353,5 @@ def tied_newton_params(params: AttentionParams) -> AttentionParams:
     W_o,h = -(eta/H) M_h restores the absorbed scale and sign.
     """
     maps = range_space_cache(params).maps
-    scale = -params.eta / params.heads
-    return AttentionParams(
-        w_query=params.w_query, w_key=params.w_key, w_value=params.w_query,
-        w_out=tuple(scale * m for m in maps),
-        score_temp=params.score_temp, bias_temp=params.bias_temp,
-        beta=params.beta, eta=params.eta, tau=params.tau)
+    return replace(params, w_value=params.w_query,
+                   w_out=tuple(-params.eta / params.heads * maps))

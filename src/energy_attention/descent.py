@@ -102,50 +102,30 @@ class DescentTrace:
         return [(s.step, s.energy, s.grad_norm) for s in self.steps]
 
 
-class _SingularNewton(Exception):
-    pass
-
-
-def _newton_direction(spec: en.EnergySpec, z: np.ndarray, tokens: np.ndarray,
-                      mode: str, eps: float,
-                      maps: tuple[np.ndarray, ...] | None) -> np.ndarray:
-    """Head-averaged preconditioned direction sum_h M_h B_h^-1 (q_h - kbar_h).
-
-    For the full-space elastic energy the query map is the identity, so the
-    bracket acts directly in token space.
-    """
+def _newton_direction(spec: en.EnergySpec, tokens: np.ndarray, mode: str,
+                      eps: float):
+    """``z -> (1/H) sum_h M_h B_h^-1 (q_h - kbar_h)``, or its Taylor
+    truncation, from one energy core; M_h is the range-space pseudoinverse
+    of W1_h, the identity for the full-space elastic energy."""
     pair = spec.pair
     if isinstance(pair, en.Elastic):
-        head_maps = [(None, pair.weight)]
+        maps = np.eye(tokens.shape[0])[None]
     elif isinstance(pair, en.PerHeadElastic):
-        head_maps = list(zip(pair.w_query, pair.w_key))
+        maps = np.stack([nk.range_space_pinv(w) for w in pair.w_query])
     else:
         raise ValueError("Newton preconditioning requires an elastic energy")
-    weights = en.boltzmann_weights(spec, z, tokens)
-    if weights.ndim == 1:
-        weights = weights[None, :]
-    temp = spec.temperature
-    direction = np.zeros_like(z)
-    for h, (w1, w2) in enumerate(head_maps):
-        q = z if w1 is None else w1 @ z
-        keys = w2 @ tokens
-        p = weights[h]
-        kbar = keys @ p
-        centered = keys - kbar[:, None]
-        bracket = np.eye(q.shape[0]) - (centered * p) @ centered.T / temp
-        offset = q - kbar
-        if mode == "exact":
-            if eps > 0.0:
-                bracket = bracket + eps * np.eye(q.shape[0])
-            try:
-                sub = nk.solve_inverse(bracket) @ offset
-            except ValueError as err:
-                raise _SingularNewton from err
-        else:
-            # first-order truncation of the bracket inverse: B^-1 ~ 2I - B
-            sub = (2.0 * np.eye(q.shape[0]) - bracket) @ offset
-        direction += sub if w1 is None else maps[h] @ sub
-    return direction / len(head_maps)
+    core = en._Core(spec, tokens)
+    heads = spec.heads
+    temps = np.full((heads, 1), spec.temperature)
+
+    def direction(z):
+        queries = z if core.query_map is None else core.query_map @ z
+        weights = core.boltzmann(z)[0].reshape(heads, -1)
+        steps = en.newton_step(queries.reshape(heads, -1), core.head_keys,
+                               weights, temps, mode, eps)
+        return np.einsum("hdk,hk->d", maps, steps) / heads
+
+    return direction
 
 
 def descend(spec: en.EnergySpec, optimizer, z0: np.ndarray, tokens: np.ndarray,
@@ -164,9 +144,8 @@ def descend(spec: en.EnergySpec, optimizer, z0: np.ndarray, tokens: np.ndarray,
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and > 0")
     z = nk.as_vector(z0).copy()
-    newton_maps = None
-    if isinstance(optimizer, NewtonSubspace) and isinstance(spec.pair, en.PerHeadElastic):
-        newton_maps = tuple(nk.range_space_pinv(w) for w in spec.pair.w_query)
+    if isinstance(optimizer, NewtonSubspace):
+        newton = _newton_direction(spec, tokens, optimizer.mode, optimizer.eps)
 
     evaluate = en.gradient_engine(spec, tokens, convention)
 
@@ -195,29 +174,27 @@ def descend(spec: en.EnergySpec, optimizer, z0: np.ndarray, tokens: np.ndarray,
     # overflow on a diverging run is detected and reported, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iters + 1):
-            try:
-                if isinstance(optimizer, Vanilla):
-                    z = z - optimizer.eta * grad
-                elif isinstance(optimizer, Momentum):
-                    momentum = grad if beta == 0.0 else beta * momentum + grad
-                    z = z - optimizer.eta * momentum
-                elif isinstance(optimizer, Nag):
-                    ahead = (z if beta == 0.0
-                             else z - optimizer.eta * beta * momentum)
-                    ahead_grad = evaluate(ahead)[1]
-                    momentum = (ahead_grad if beta == 0.0
-                                else beta * momentum + ahead_grad)
-                    z = z - optimizer.eta * momentum
-                elif isinstance(optimizer, NewtonSubspace):
-                    z = z - optimizer.eta * _newton_direction(
-                        spec, z, tokens, optimizer.mode, optimizer.eps,
-                        newton_maps)
-                else:
-                    raise ValueError(
-                        f"unknown optimizer {type(optimizer).__name__}")
-            except _SingularNewton:
-                metadata["stop_reason"] = "singular"
-                break
+            if isinstance(optimizer, Vanilla):
+                z = z - optimizer.eta * grad
+            elif isinstance(optimizer, Momentum):
+                momentum = grad if beta == 0.0 else beta * momentum + grad
+                z = z - optimizer.eta * momentum
+            elif isinstance(optimizer, Nag):
+                ahead = (z if beta == 0.0
+                         else z - optimizer.eta * beta * momentum)
+                ahead_grad = evaluate(ahead)[1]
+                momentum = (ahead_grad if beta == 0.0
+                            else beta * momentum + ahead_grad)
+                z = z - optimizer.eta * momentum
+            elif isinstance(optimizer, NewtonSubspace):
+                try:
+                    z = z - optimizer.eta * newton(z)
+                except ValueError:
+                    metadata["stop_reason"] = "singular"
+                    break
+            else:
+                raise ValueError(
+                    f"unknown optimizer {type(optimizer).__name__}")
             if project_radius is not None:
                 norm = float(np.linalg.norm(z))
                 if norm > 0.0:

@@ -10,6 +10,8 @@ log-partition and query gradient of every kind, for one query or a masked
 d x Q block; the operations are short calls into it (and reject a
 non-finite query), and ``gradient_engine`` keeps one core for iterations:
 it accepts every kind and checks its prefix limits for both call forms.
+``newton_step`` is the per-head Newton step of the elastic free energy, all
+heads at once, that the Newton optimizer and attention forwards share.
 
 Gradient conventions
 --------------------
@@ -241,6 +243,8 @@ class _Core:
             raise ValueError(f"unknown pair energy {type(pair).__name__}")
         if self.elastic:
             self.half_sq = 0.5 * (keys * keys).sum(axis=-2)
+            # the keys W2_h H of each head, (H, d_h, N), for the Newton bracket
+            self.head_keys = keys.reshape(self.heads, -1, self.n)
             if self.per_head:
                 self.gram = self.query_map.T @ self.query_map
         self.gates = None
@@ -313,6 +317,35 @@ class _Core:
             z, _mask_outside_prefix(limit, z.shape[1:], self.n))
         grad = self.pair_grad(z, coeff, total)
         return value, self.t * grad if self.tied else grad
+
+
+def newton_step(queries: np.ndarray, keys: np.ndarray, weights: np.ndarray,
+                temps: np.ndarray, mode: str, eps: float = 0.0) -> np.ndarray:
+    """Every head's Newton step on its elastic free energy, shape (H, d_h).
+
+    Takes head-space queries q_h (H, d_h), keys (H, d_h, N), Boltzmann
+    weights (H, N) and bracket temperatures T_h (H, 1). With o_h = q_h -
+    kbar_h and C_h the weighted key covariance, "exact" returns B_h^-1 o_h
+    for B_h = (1 + eps) I - C_h / T_h, all heads inverted in one call, and
+    "taylor1" the truncation (2I - B_h) o_h = o_h + C_h o_h / T_h, inner
+    products first so its cost is linear in N (``eps`` unused). A singular
+    bracket raises ``ValueError("Hessian preconditioner singular")``.
+    """
+    kbar = np.matmul(keys, weights[:, :, None])[:, :, 0]
+    offsets = queries - kbar
+    if mode == "taylor1":
+        per_key = np.matmul(offsets[:, None, :], keys)[:, 0, :]
+        spread = (np.matmul(keys, (weights * per_key)[:, :, None])[:, :, 0]
+                  - kbar * np.sum(kbar * offsets, axis=1)[:, None])
+        return offsets + spread / temps
+    centered = keys - kbar[:, :, None]
+    cov = np.matmul(centered * weights[:, None, :], centered.transpose(0, 2, 1))
+    bracket = (1.0 + eps) * np.eye(queries.shape[1]) - cov / temps[:, :, None]
+    try:
+        inverse = nk.solve_inverse(bracket)
+    except ValueError as err:
+        raise ValueError("Hessian preconditioner singular") from err
+    return np.matmul(inverse, offsets[:, :, None])[:, :, 0]
 
 
 def _query(z: np.ndarray) -> np.ndarray:

@@ -134,7 +134,9 @@ def make_tied_instance(rng: nk.Rng, tying: str, dim: int, tokens: int,
     (tokens are pulled back through W^-1). linear: unconstrained Gaussian
     draws. multihead: block-diagonal per-head maps so that every per-head
     norm constraint is simultaneously satisfiable; the query/key
-    factorization uses the per-head maps themselves.
+    factorization uses the per-head maps themselves. The rate ``eta`` (0
+    allowed) enters through the tied value or output maps only; the params
+    keep their default momentum-variant rate.
 
     ``break_tying`` deliberately violates the value-map tying (doubling it,
     on the last head for multihead instances) to serve as a negative
@@ -149,8 +151,7 @@ def make_tied_instance(rng: nk.Rng, tying: str, dim: int, tokens: int,
         token_mat = np.stack(cols, axis=1)
         value_scale = eta * temperature * (2.0 if break_tying else 1.0)
         params = attn.single_head_params(np.eye(dim), weight,
-                                         value_scale * weight, temperature,
-                                         eta=eta)
+                                         value_scale * weight, temperature)
         return TiedInstance(en.elastic_spec(weight, temperature), params, z,
                             token_mat, radius, eta, tying)
 
@@ -160,8 +161,7 @@ def make_tied_instance(rng: nk.Rng, tying: str, dim: int, tokens: int,
         token_mat = rng.normal_matrix(dim, tokens)
         value_scale = eta * temperature * (2.0 if break_tying else 1.0)
         params = attn.single_head_params(np.eye(dim), weight,
-                                         value_scale * weight, temperature,
-                                         eta=eta)
+                                         value_scale * weight, temperature)
         return TiedInstance(en.square_sum_spec(weight, temperature), params, z,
                             token_mat, radius, eta, tying)
 
@@ -188,8 +188,7 @@ def make_tied_instance(rng: nk.Rng, tying: str, dim: int, tokens: int,
             w_out.append(scale * w1[h].T)
         params = attn.AttentionParams(
             w_query=w1, w_key=w2, w_value=w2, w_out=tuple(w_out),
-            score_temp=(temperature,) * heads, bias_temp=(temperature,) * heads,
-            eta=eta)
+            score_temp=(temperature,) * heads, bias_temp=(temperature,) * heads)
         return TiedInstance(en.per_head_elastic_spec(w1, w2, temperature),
                             params, z, token_mat, radius, eta, tying)
 

@@ -239,15 +239,21 @@ def sym_eigvals(a: np.ndarray) -> np.ndarray:
 
 
 def solve_inverse(a: np.ndarray) -> np.ndarray:
-    """Matrix inverse (``numpy.linalg.inv``) behind a singularity guard.
+    """Inverse (``numpy.linalg.inv``) of an n x n matrix or an (H, n, n)
+    stack, behind a singularity guard.
 
-    An n x n matrix whose smallest singular value is below sqrt(n) * 1e-12
-    raises ``ValueError("singular matrix")``. Gaussian elimination with
-    partial pivoting meets a pivot below 1e-12 only on such a matrix, since
-    every pivot is at least sigma_min / sqrt(n).
+    A matrix whose smallest singular value is below sqrt(n) * 1e-12 (any
+    one in a stack) raises ``ValueError("singular matrix")``. Gaussian
+    elimination with partial pivoting meets a pivot below 1e-12 only on
+    such a matrix, since every pivot is at least sigma_min / sqrt(n).
     """
-    m = _square(a, "inverse")
-    if float(np.linalg.svd(m, compute_uv=False)[-1]) < math.sqrt(m.shape[0]) * 1e-12:
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim != 3:
+        m = _square(m, "inverse")
+    elif m.shape[1] != m.shape[2] or not np.isfinite(m).all():
+        raise ValueError("inverse requires a stack of finite square matrices")
+    # the smallest singular value of the whole stack is its smallest sigma_min
+    if np.linalg.svd(m, compute_uv=False).min() < math.sqrt(m.shape[-1]) * 1e-12:
         raise ValueError("singular matrix")
     try:
         return np.linalg.inv(m)

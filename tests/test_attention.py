@@ -414,3 +414,75 @@ def test_params_validation():
     assert params.beta == 0.9 and params.eta == 1.0
     with pytest.raises(ValueError):
         attn.random_params(rng, 9, 2)
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+def _call_forward(name, params, z, tokens):
+    forward = getattr(attn, name)
+    if name in ("momen_mha", "nag_mha"):
+        return forward(params, z, tokens, attn.MomentumState.zeros(params.dim))
+    return forward(params, z, tokens)
+
+
+def _with(array, index, value):
+    bad = array.copy()
+    bad[index] = value
+    return bad
+
+
+FORWARD_NAMES = ["softmax_attention", "linear_attention", "mha", "momen_mha",
+                 "nag_mha", "mha2nd_exact", "mha2nd1st", "mha2nd1st_no_v",
+                 "light_mha2nd1st"]
+
+
+@pytest.mark.parametrize("name", FORWARD_NAMES)
+@pytest.mark.parametrize("bad, message", [
+    ("short query", "query must be a length-6 vector"),
+    ("matrix query", "query must be a length-6 vector"),
+    ("no tokens", r"tokens must be a 6 x N matrix with N >= 1"),
+    ("wrong token dim", r"tokens must be a 6 x N matrix with N >= 1"),
+    ("token vector", r"tokens must be a 6 x N matrix with N >= 1"),
+    ("nan query", "query has non-finite entries"),
+    ("inf token", "tokens have non-finite entries"),
+    ("nan token", "tokens have non-finite entries"),
+])
+def test_forwards_reject_bad_inputs(name, bad, message):
+    square = name in ("softmax_attention", "linear_attention")
+    params, z, tokens = _square(26) if square else _instance(26, dim=6, heads=2)
+    z, tokens = {
+        "short query": (z[:5], tokens),
+        "matrix query": (z[:, None], tokens),
+        "no tokens": (z, tokens[:, :0]),
+        "wrong token dim": (z, tokens[:5]),
+        "token vector": (z, tokens[:, 0]),
+        "nan query": (_with(z, 2, np.nan), tokens),
+        "inf token": (z, _with(tokens, (1, 3), np.inf)),
+        "nan token": (z, _with(tokens, (4, 0), np.nan)),
+    }[bad]
+    with pytest.raises(ValueError, match=message):
+        _call_forward(name, params, z, tokens)
+
+
+def test_params_reject_bad_scalars():
+    good = attn.single_head_params(np.eye(2), np.eye(2), np.eye(2), 1.0)
+    for eta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"learning rate must be finite and > 0"):
+            dataclasses.replace(good, eta=eta)
+    for beta in (-0.1, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError, match=r"momentum coefficient must lie in \[0, 1\)"):
+            dataclasses.replace(good, beta=beta)
+    for tau in ((math.nan,), (math.inf,)):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            dataclasses.replace(good, tau=tau)
+    assert dataclasses.replace(good, beta=0.0, tau=(-0.5,)).tau == (-0.5,)
+
+
+def test_mha2nd_exact_rejects_bad_regularization():
+    params, z, tokens = _instance(27)
+    for eps in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="regularization must be finite and >= 0"):
+            attn.mha2nd_exact(params, z, tokens, eps=eps)
+

@@ -1,0 +1,208 @@
+"""The one Newton step shared by descent and the Newton/Taylor forwards, and
+the stacked multi-head forwards, against per-head oracles kept here."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from energy_attention import attention as attn
+from energy_attention import descent as de
+from energy_attention import energy as en
+from energy_attention import numkit as nk
+
+
+# ---------------------------------------------------------------------------
+# the Newton step against the dense per-head Hessian
+# ---------------------------------------------------------------------------
+
+def _dense_step(spec, z, tokens, mode):
+    """(1/H) sum_h pinv(Hess_h) grad_h over each head's own energy.
+
+    The Taylor step puts 2I - B_h in place of the bracket inverse B_h^-1; in
+    query space that is G^+ (2G - Hess_h) G^+ grad_h, where G = W1_h^T W1_h
+    is the psd part of Hess_h (the identity for the full-space energy).
+    """
+    if isinstance(spec.pair, en.Elastic):
+        heads = [spec]
+    else:
+        heads = [en.per_head_elastic_spec([w1], [w2], spec.temperature)
+                 for w1, w2 in zip(spec.pair.w_query, spec.pair.w_key)]
+    step = np.zeros_like(z)
+    for single in heads:
+        hess = en.hessian_z(single, z, tokens)
+        grad = en.grad_z(single, z, tokens)
+        if mode == "exact":
+            step += np.linalg.pinv(hess) @ grad
+        else:
+            gram = en.hessian_split(single, z, tokens)[0]
+            gram_pinv = np.linalg.pinv(gram)
+            step += gram_pinv @ (2.0 * gram - hess) @ gram_pinv @ grad
+    return step / len(heads)
+
+
+def _newton_case(heads, seed):
+    """An elastic spec at T = 1 with its query and tokens: the full-space
+    energy for one head, conditioned block maps for several."""
+    if heads > 1:
+        return de.conditioned_multihead_instance(seed, 16, 24, heads)
+    rng = nk.Rng(seed)
+    spec = en.elastic_spec(rng.normal_matrix(8, 8, 1 / math.sqrt(8)), 1.0)
+    tokens = np.stack([nk.sample_hypersphere(rng, 8, 1.0) for _ in range(12)],
+                      axis=1)
+    return spec, nk.sample_hypersphere(rng, 8, 1.0), tokens
+
+
+def _forward_params(spec, eta):
+    """Attention params whose exact Newton forward takes the spec's Newton
+    step (both temperatures T); ``tied_newton_params`` retie them for the
+    Taylor form."""
+    pair = spec.pair
+    w_query = (np.eye(len(pair.weight)),) if spec.heads == 1 else pair.w_query
+    w_key = (pair.weight,) if spec.heads == 1 else pair.w_key
+    temps = (spec.temperature,) * spec.heads
+    return attn.AttentionParams(
+        w_query=w_query, w_key=w_key, w_value=w_query,
+        w_out=tuple(w.T for w in w_query), score_temp=temps, bias_temp=temps,
+        eta=eta)
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("mode", ["exact", "taylor1"])
+@pytest.mark.parametrize("caller", ["descend", "forward"])
+def test_newton_step_matches_dense_per_head_oracle(caller, mode, heads):
+    eta = 0.3
+    spec, z0, tokens = _newton_case(heads, 40 + heads)
+    expected = z0 - eta * _dense_step(spec, z0, tokens, mode)
+    if caller == "descend":
+        trace = de.descend(spec, de.NewtonSubspace(eta, mode), z0, tokens,
+                           max_iters=1, tol=1e-300)
+        actual = trace.steps[1].z
+    else:
+        params = _forward_params(spec, eta)
+        if mode == "exact":
+            actual = attn.mha2nd_exact(params, z0, tokens)
+        else:
+            actual = attn.mha2nd1st(attn.tied_newton_params(params), z0, tokens)
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacked forwards against a plain loop over heads
+# ---------------------------------------------------------------------------
+
+def _loop_weights(p, h, z, tokens, distance):
+    q = p.w_query[h] @ z
+    keys = p.w_key[h] @ tokens
+    if distance:
+        scores = -0.5 * np.sum((keys - q[:, None]) ** 2, axis=0)
+    else:
+        scores = q @ keys
+    scores = scores / p.score_temp[h]
+    weights = np.exp(scores - scores.max())
+    return q, keys, weights / weights.sum()
+
+
+def _loop_forward(name, p, z, tokens, momentum):
+    """Each forward as one loop over heads with per-head matrices."""
+    if name == "softmax_attention":
+        name = "mha"
+    if name in ("momen_mha", "nag_mha"):
+        ahead = z - p.eta * p.beta * momentum if name == "nag_mha" else z
+        new_p = p.beta * momentum - (_loop_forward("mha", p, ahead, tokens, None)
+                                     - ahead)
+        return z - p.eta * new_p
+    out = z.copy()
+    for h in range(p.heads):
+        if name in ("mha", "light_mha2nd1st"):
+            _, _, weights = _loop_weights(p, h, z, tokens, distance=False)
+            values = p.w_value[h] @ tokens
+            vbar = values @ weights
+            cov = (values * weights) @ values.T - np.outer(vbar, vbar)
+            tau = p.tau[h] if name == "light_mha2nd1st" else 0.0
+            out += p.w_out[h] @ (vbar + tau * (cov @ vbar))
+            continue
+        q, keys, weights = _loop_weights(p, h, z, tokens, distance=True)
+        kbar = keys @ weights
+        centered = keys - kbar[:, None]
+        cov = (centered * weights) @ centered.T
+        offset = q - kbar
+        pinv = np.linalg.pinv(p.w_query[h])
+        if name == "mha2nd_exact":
+            bracket = np.eye(len(q)) - cov / p.bias_temp[h]
+            out -= p.eta / p.heads * (pinv @ np.linalg.solve(bracket, offset))
+            continue
+        moved = offset + cov @ offset / p.bias_temp[h]
+        if name == "mha2nd1st":
+            moved = p.w_value[h] @ (pinv @ moved)
+        out += p.w_out[h] @ moved
+    return out
+
+
+def _conditioning(p, z, tokens):
+    """The largest condition number among the exact forward's brackets and
+    the query Grams W_q W_q^T behind the range maps."""
+    conds = []
+    for h in range(p.heads):
+        _, keys, weights = _loop_weights(p, h, z, tokens, distance=True)
+        centered = keys - (keys @ weights)[:, None]
+        cov = (centered * weights) @ centered.T
+        conds.append(np.linalg.cond(np.eye(len(cov)) - cov / p.bias_temp[h]))
+        conds.append(np.linalg.cond(p.w_query[h] @ p.w_query[h].T))
+    return max(conds)
+
+
+FORWARDS = ("mha", "momen_mha", "nag_mha", "mha2nd_exact", "mha2nd1st",
+            "mha2nd1st_no_v", "light_mha2nd1st")
+
+
+@st.composite
+def _forward_cases(draw):
+    heads = draw(st.sampled_from([1, 2, 4]))
+    return {
+        "heads": heads,
+        "head_dim": draw(st.integers(1, 4)),
+        "tokens": draw(st.integers(1, 12)),
+        "score_temp": 10.0 ** draw(st.floats(-2.0, 2.0)),
+        "bias_temp": 10.0 ** draw(st.floats(-2.0, 2.0)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forward_cases())
+@example({"heads": 2, "head_dim": 3, "tokens": 1, "score_temp": 0.01,
+          "bias_temp": 100.0, "seed": 0})
+@example({"heads": 4, "head_dim": 2, "tokens": 7, "score_temp": 100.0,
+          "bias_temp": 0.01, "seed": 1})
+def test_stacked_forwards_equal_per_head_loop(case):
+    rng = np.random.default_rng(case["seed"])
+    heads, head_dim = case["heads"], case["head_dim"]
+    dim = heads * head_dim
+    scale = 1.0 / math.sqrt(dim)
+
+    def maps(rows, cols):
+        return tuple(rng.standard_normal((rows, cols)) * scale for _ in range(heads))
+
+    params = attn.AttentionParams(
+        w_query=maps(head_dim, dim), w_key=maps(head_dim, dim),
+        w_value=maps(head_dim, dim), w_out=maps(dim, head_dim),
+        score_temp=(case["score_temp"],) * heads,
+        bias_temp=(case["bias_temp"],) * heads,
+        beta=0.8, eta=0.7, tau=tuple(rng.uniform(-1.0, 1.0, heads)))
+    z = rng.standard_normal(dim)
+    tokens = rng.standard_normal((dim, case["tokens"]))
+    momentum = rng.standard_normal(dim)
+    # two correct solves of one system differ by up to its condition number
+    assume(_conditioning(params, z, tokens) < 1e3)
+    for name in FORWARDS + (("softmax_attention",) if heads == 1 else ()):
+        expected = _loop_forward(name, params, z, tokens, momentum)
+        forward = getattr(attn, name)
+        if name in ("momen_mha", "nag_mha"):
+            actual = forward(params, z, tokens, attn.MomentumState(momentum))[0]
+        else:
+            actual = forward(params, z, tokens)
+        scale_out = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(actual - expected)) <= 1e-12 * scale_out, name

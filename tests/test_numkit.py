@@ -344,3 +344,23 @@ def test_validators():
         nk.as_vector(np.ones(3), dim=4)
     rows = nk.as_token_matrix(np.arange(6.0).reshape(3, 2), orientation="rows")
     assert rows.shape == (2, 3)
+
+
+def test_solve_inverse_stack_matches_each_matrix():
+    rng = nk.Rng(9)
+    stack = np.stack([rng.normal_matrix(4, 4) + 3.0 * np.eye(4) for _ in range(3)])
+    inverses = nk.solve_inverse(stack)
+    for a, inv in zip(stack, inverses):
+        np.testing.assert_allclose(inv, nk.solve_inverse(a), rtol=1e-12, atol=1e-14)
+
+
+def test_solve_inverse_stack_guard():
+    # one near-singular member (the same rule as for one matrix) fails the stack
+    stack = np.stack([np.eye(2), np.diag([1.0, 1e-13])])
+    with pytest.raises(ValueError, match="singular matrix"):
+        nk.solve_inverse(stack)
+    np.testing.assert_allclose(nk.solve_inverse(np.stack([np.eye(2), np.diag([1.0, 1e-10])])),
+                               np.stack([np.eye(2), np.diag([1.0, 1e10])]))
+    for bad in (np.ones((2, 2, 3)), np.stack([np.eye(2), np.full((2, 2), np.nan)])):
+        with pytest.raises(ValueError, match="finite square"):
+            nk.solve_inverse(bad)
