@@ -6,12 +6,16 @@ whether stacked applications share or reset it. Token matrices are d x N;
 every forward rejects a query that is not a finite length-d vector and
 tokens that are not a finite d x N matrix with N >= 1.
 
-Two score families exist, both scoring all heads at once from the params'
-row-stacked projections: inner-product scores q . k / T (standard and light
-variants) and negative squared-distance scores -||q - k||^2 / (2 T) (the
+Two score families exist, both scoring all heads at once. Inner-product
+scores q_h . k_i / T (standard, light and linear variants) never project a
+token: each head's query is pulled back into token space, u_h = W_k,h^T q_h,
+and scored against the raw tokens, and the raw tokens are averaged under
+the weights before the value map, vbar_h = W_v,h (H p_h). Only the
+negative squared-distance scores -||q - k||^2 / (2 T) of the
 Newton-preconditioned variants, whose weights are the Boltzmann weights of
-the elastic energy). The Newton step itself, exact or Taylor-truncated, is
-``energy.newton_step``, the one the descent optimizer takes.
+the elastic energy, project the keys, because they need ||k_i||^2. The
+Newton step itself, exact or Taylor-truncated, is ``energy.newton_step``,
+the one the descent optimizer takes.
 """
 
 from __future__ import annotations
@@ -90,11 +94,13 @@ class AttentionParams:
     def head_dim(self) -> int:
         return self.w_query[0].shape[0]
 
-    # row-stacked W_q/W_k/W_v (H d_h x d), side-by-side W_o (d x H d_h) and
-    # temperature columns (H, 1), built on first use
+    # row-stacked W_q/W_k (H d_h x d), head-stacked W_k/W_v (H, d_h, d),
+    # side-by-side W_o (d x H d_h) and temperature columns (H, 1), built on
+    # first use
     query_stack = cached_property(lambda self: np.vstack(self.w_query))
     key_stack = cached_property(lambda self: np.vstack(self.w_key))
-    value_stack = cached_property(lambda self: np.vstack(self.w_value))
+    key_heads = cached_property(lambda self: np.array(self.w_key))
+    value_heads = cached_property(lambda self: np.array(self.w_value))
     out_stack = cached_property(lambda self: np.hstack(self.w_out))
     score_temps = cached_property(lambda self: np.array(self.score_temp)[:, None])
     bias_temps = cached_property(lambda self: np.array(self.bias_temp)[:, None])
@@ -188,29 +194,30 @@ def _inputs(params: AttentionParams, z, tokens) -> tuple[np.ndarray, np.ndarray]
     return z, tokens
 
 
-def _head_weights(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
-                  distance: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every head's queries (H, d_h), keys (H, d_h, N) and softmax weights
-    (H, N) for checked inputs. Distance scores drop the row constant
+def _distance_weights(params: AttentionParams, z: np.ndarray, tokens: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every head's queries (H, d_h), keys (H, d_h, N) and squared-distance
+    softmax weights (H, N). The scores drop the row constant
     -||q||^2 / (2 T), which the softmax ignores."""
     z, tokens = _inputs(params, z, tokens)
     heads, n = params.heads, tokens.shape[1]
     queries = (params.query_stack @ z).reshape(heads, -1)
     keys = (params.key_stack @ tokens).reshape(heads, -1, n)
     scores = np.matmul(queries[:, None, :], keys)[:, 0, :]
-    if distance:
-        scores -= 0.5 * np.einsum("hdn,hdn->hn", keys, keys)
+    scores -= 0.5 * np.einsum("hdn,hdn->hn", keys, keys)
     return queries, keys, nk.softmax_lse_rows(scores / params.score_temps)[0]
 
 
 def _value_means(params: AttentionParams, z: np.ndarray, tokens: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inner-product weights (H, N), head values (H, d_h, N) and their
-    weighted means vbar_h (H, d_h)."""
-    weights = _head_weights(params, z, tokens, distance=False)[2]
-    values = (params.value_stack @ tokens).reshape(params.heads, -1,
-                                                    tokens.shape[1])
-    return weights, values, np.matmul(values, weights[:, :, None])[:, :, 0]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Inner-product weights (H, N) and head value means vbar_h (H, d_h) for
+    checked inputs: the pulled-back queries W_k,h^T q_h score the raw
+    tokens, and the weighted token means H p_h go through W_v,h."""
+    queries = (params.query_stack @ z).reshape(params.heads, 1, -1)
+    pulled = np.matmul(queries, params.key_heads)[:, 0, :] / params.score_temps
+    weights = nk.softmax_lse_rows(pulled @ tokens)[0]
+    means = tokens @ weights.T  # column h is H p_h
+    return weights, np.matmul(params.value_heads, means.T[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,20 +235,29 @@ def softmax_attention(params: AttentionParams, z: np.ndarray,
 
 def linear_attention(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
                      gates: np.ndarray | None = None) -> np.ndarray:
-    """z + sum_i gates_i (q . k_i) W_v h_i; softmax-free scores, gates default 1."""
+    """z + sum_i gates_i (q . k_i) W_v h_i; softmax-free scores, gates default 1.
+
+    Computed as z + W_v (H ((W_k^T W_q z)^T H * gates)), so no token is
+    projected.
+    """
     if params.heads != 1 or params.head_dim != params.dim:
         raise ValueError("linear_attention requires square single-head params")
     z, tokens = _inputs(params, z, tokens)
-    scores = (params.w_query[0] @ z) @ (params.w_key[0] @ tokens)
+    scores = ((params.w_query[0] @ z) @ params.w_key[0]) @ tokens
     if gates is not None:
         gates = nk.as_vector(gates, dim=tokens.shape[1])
         scores = gates * scores
-    return z + (params.w_value[0] @ tokens) @ scores
+    return z + params.w_value[0] @ (tokens @ scores)
 
 
 def mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-    """Multi-head forward: z + sum_h W_o,h (W_v,h H) softmax(scores_h / T_h)."""
-    return z + params.out_stack @ _value_means(params, z, tokens)[2].ravel()
+    """Multi-head forward: z + sum_h W_o,h W_v,h H softmax(scores_h / T_h)."""
+    return _mha(params, *_inputs(params, z, tokens))
+
+
+def _mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+    """``mha`` for checked inputs."""
+    return z + params.out_stack @ _value_means(params, z, tokens)[1].ravel()
 
 
 def momen_mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
@@ -255,7 +271,7 @@ def momen_mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
     z, tokens = _inputs(params, z, tokens)
     if state.momentum.shape != z.shape:
         raise ValueError("momentum state dimension mismatch")
-    grad_proxy = -(mha(params, z, tokens) - z)
+    grad_proxy = -(_mha(params, z, tokens) - z)
     new_p = grad_proxy if params.beta == 0.0 else params.beta * state.momentum + grad_proxy
     return z - params.eta * new_p, MomentumState(new_p)
 
@@ -274,7 +290,7 @@ def nag_mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
         raise ValueError("momentum state dimension mismatch")
     ahead = (z if params.beta == 0.0
              else z - params.eta * params.beta * state.momentum)
-    grad_proxy = -(mha(params, ahead, tokens) - ahead)
+    grad_proxy = -(_mha(params, ahead, tokens) - ahead)
     new_p = grad_proxy if params.beta == 0.0 else params.beta * state.momentum + grad_proxy
     return z - params.eta * new_p, MomentumState(new_p)
 
@@ -298,7 +314,7 @@ def mha2nd_exact(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
         raise ValueError("regularization must be finite and >= 0")
     if cache is None:
         cache = range_space_cache(params)
-    steps = en.newton_step(*_head_weights(params, z, tokens, distance=True),
+    steps = en.newton_step(*_distance_weights(params, z, tokens),
                            params.bias_temps, "exact", eps)
     moved = np.einsum("hdk,hk->d", cache.maps, steps)
     return z - (params.eta / params.heads) * moved
@@ -314,7 +330,7 @@ def mha2nd1st(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
     """
     if cache is None:
         cache = range_space_cache(params)
-    moved = en.newton_step(*_head_weights(params, z, tokens, distance=True),
+    moved = en.newton_step(*_distance_weights(params, z, tokens),
                            params.bias_temps, "taylor1")
     return z + cache.taylor_out_stack @ moved.ravel()
 
@@ -323,7 +339,7 @@ def mha2nd1st_no_v(params: AttentionParams, z: np.ndarray,
                    tokens: np.ndarray) -> np.ndarray:
     """Taylor-truncated variant with W_v and the range map folded into W_o:
     z + sum_h W_o,h (q_h - kbar_h + b_h)."""
-    moved = en.newton_step(*_head_weights(params, z, tokens, distance=True),
+    moved = en.newton_step(*_distance_weights(params, z, tokens),
                            params.bias_temps, "taylor1")
     return z + params.out_stack @ moved.ravel()
 
@@ -335,11 +351,15 @@ def light_mha2nd1st(params: AttentionParams, z: np.ndarray,
     Values are preconditioned after parameterization: the head output is
     vbar_h + tau_h * (sum_i p_i v_i (v_i . vbar_h) - vbar_h (vbar_h . vbar_h)),
     the bias being the value covariance applied to vbar_h. With tau = 0 this
-    is a plain W_o-projected multi-head forward.
+    is a plain W_o-projected multi-head forward. Values are never formed:
+    v_i . vbar_h is (W_v,h^T vbar_h) . h_i, and the weighted sum of the
+    values is W_v,h applied to the weighted sum of the raw tokens.
     """
-    weights, values, vbar = _value_means(params, z, tokens)
-    per_value = np.matmul(vbar[:, None, :], values)[:, 0, :]
-    bias = (np.matmul(values, (weights * per_value)[:, :, None])[:, :, 0]
+    z, tokens = _inputs(params, z, tokens)
+    weights, vbar = _value_means(params, z, tokens)
+    per_value = np.matmul(vbar[:, None, :], params.value_heads)[:, 0, :] @ tokens
+    spread = tokens @ (weights * per_value).T
+    bias = (np.matmul(params.value_heads, spread.T[:, :, None])[:, :, 0]
             - vbar * np.sum(vbar * vbar, axis=1)[:, None])
     taus = np.array(params.tau)[:, None]
     return z + params.out_stack @ (vbar + taus * bias).ravel()

@@ -102,27 +102,25 @@ class DescentTrace:
         return [(s.step, s.energy, s.grad_norm) for s in self.steps]
 
 
-def _newton_direction(spec: en.EnergySpec, tokens: np.ndarray, mode: str,
-                      eps: float):
-    """``z -> (1/H) sum_h M_h B_h^-1 (q_h - kbar_h)``, or its Taylor
-    truncation, from one energy core; M_h is the range-space pseudoinverse
-    of W1_h, the identity for the full-space elastic energy."""
+def _newton_direction(spec: en.EnergySpec, core, mode: str, eps: float):
+    """``(z, weights) -> (1/H) sum_h M_h B_h^-1 (q_h - kbar_h)``, or its
+    Taylor truncation, from the descent's energy core and the Boltzmann
+    weights at ``z``; M_h is the range-space pseudoinverse of W1_h, the
+    identity for the full-space elastic energy."""
     pair = spec.pair
     if isinstance(pair, en.Elastic):
-        maps = np.eye(tokens.shape[0])[None]
+        maps = np.eye(pair.weight.shape[0])[None]
     elif isinstance(pair, en.PerHeadElastic):
         maps = np.stack([nk.range_space_pinv(w) for w in pair.w_query])
     else:
         raise ValueError("Newton preconditioning requires an elastic energy")
-    core = en._Core(spec, tokens)
     heads = spec.heads
     temps = np.full((heads, 1), spec.temperature)
 
-    def direction(z):
+    def direction(z, weights):
         queries = z if core.query_map is None else core.query_map @ z
-        weights = core.boltzmann(z)[0].reshape(heads, -1)
         steps = en.newton_step(queries.reshape(heads, -1), core.head_keys,
-                               weights, temps, mode, eps)
+                               weights.reshape(heads, -1), temps, mode, eps)
         return np.einsum("hdk,hk->d", maps, steps) / heads
 
     return direction
@@ -144,16 +142,17 @@ def descend(spec: en.EnergySpec, optimizer, z0: np.ndarray, tokens: np.ndarray,
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and > 0")
     z = nk.as_vector(z0).copy()
+    # one core per descent; each iterate's evaluation also yields the
+    # Boltzmann weights the Newton bracket needs
+    core = en._Core(spec, tokens, convention)
     if isinstance(optimizer, NewtonSubspace):
-        newton = _newton_direction(spec, tokens, optimizer.mode, optimizer.eps)
-
-    evaluate = en.gradient_engine(spec, tokens, convention)
+        newton = _newton_direction(spec, core, optimizer.mode, optimizer.eps)
 
     def measure(point):
-        value, grad = evaluate(point)
-        return float(value), float(np.linalg.norm(grad)), grad
+        value, grad, weights = core.measure(point)
+        return float(value), float(np.linalg.norm(grad)), grad, weights
 
-    value, grad_norm, grad = measure(z)
+    value, grad_norm, grad, weights = measure(z)
     steps = [StepRecord(0, z.copy(), value, grad_norm)]
     metadata = {
         "energy": type(spec.pair).__name__,
@@ -182,13 +181,13 @@ def descend(spec: en.EnergySpec, optimizer, z0: np.ndarray, tokens: np.ndarray,
             elif isinstance(optimizer, Nag):
                 ahead = (z if beta == 0.0
                          else z - optimizer.eta * beta * momentum)
-                ahead_grad = evaluate(ahead)[1]
+                ahead_grad = core.measure(ahead)[1]
                 momentum = (ahead_grad if beta == 0.0
                             else beta * momentum + ahead_grad)
                 z = z - optimizer.eta * momentum
             elif isinstance(optimizer, NewtonSubspace):
                 try:
-                    z = z - optimizer.eta * newton(z)
+                    z = z - optimizer.eta * newton(z, weights)
                 except ValueError:
                     metadata["stop_reason"] = "singular"
                     break
@@ -202,7 +201,7 @@ def descend(spec: en.EnergySpec, optimizer, z0: np.ndarray, tokens: np.ndarray,
             if not np.all(np.isfinite(z)):
                 metadata["stop_reason"] = "diverged"
                 break
-            value, grad_norm, grad = measure(z)
+            value, grad_norm, grad, weights = measure(z)
             if not np.isfinite(value) or not np.isfinite(grad_norm):
                 metadata["stop_reason"] = "diverged"
                 break

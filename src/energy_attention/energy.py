@@ -295,8 +295,9 @@ class _Core:
         return total * (z if self.gram is None else self.gram @ z) - pulled
 
     def value(self, z: np.ndarray, mask=None):
-        """The global energy per query, and the coefficients (with their
-        per-head total) whose ``pair_grad`` is its strict gradient."""
+        """The global energy per query, the coefficients (with their
+        per-head total) whose ``pair_grad`` is its strict gradient, and the
+        Boltzmann weights (None for the square sum)."""
         t = self.t
         if self.gates is not None:
             energies = self.energies(z)
@@ -305,18 +306,22 @@ class _Core:
                 coeff = np.where(mask, 0.0, coeff)
             # d/dz of -(T/2) sum g E^2 = -T sum g E dE/dz
             coeff = -t * coeff
-            return 0.5 * (coeff * energies).sum(axis=-1), coeff, coeff.sum(axis=-1)
+            return 0.5 * (coeff * energies).sum(axis=-1), coeff, coeff.sum(axis=-1), None
         weights, lse = self.boltzmann(z, mask)
         if self.per_head:
             h = self.heads
-            return (-t * lse).sum(axis=-1) / h, weights / h, 1.0 / h
-        return -t * lse, weights, 1.0
+            return (-t * lse).sum(axis=-1) / h, weights / h, 1.0 / h, weights
+        return -t * lse, weights, 1.0, weights
 
     def evaluate(self, z: np.ndarray, limit=None):
-        value, coeff, total = self.value(
-            z, _mask_outside_prefix(limit, z.shape[1:], self.n))
+        return self.measure(z, _mask_outside_prefix(limit, z.shape[1:], self.n))[:2]
+
+    def measure(self, z: np.ndarray, mask=None):
+        """``evaluate`` under a token mask, plus the Boltzmann weights behind
+        it (None for the square sum)."""
+        value, coeff, total, weights = self.value(z, mask)
         grad = self.pair_grad(z, coeff, total)
-        return value, self.t * grad if self.tied else grad
+        return value, (self.t * grad if self.tied else grad), weights
 
 
 def newton_step(queries: np.ndarray, keys: np.ndarray, weights: np.ndarray,

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,3 +487,30 @@ def test_mha2nd_exact_rejects_bad_regularization():
         with pytest.raises(ValueError, match="regularization must be finite and >= 0"):
             attn.mha2nd_exact(params, z, tokens, eps=eps)
 
+
+# ---------------------------------------------------------------------------
+# inner-product forwards never project the tokens
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["mha", "nag_mha", "light_mha2nd1st"])
+def test_inner_forwards_never_project_the_tokens(name):
+    # a call's peak allocation stays below a quarter of one d x N float64
+    # matrix, so no head forms W_k H or W_v H (the finiteness mask of the
+    # input check, d x N booleans, is the largest array a call needs)
+    rng = np.random.default_rng(0)
+    dim, heads, n = 256, 4, 4096
+    params = attn.AttentionParams(
+        *(tuple(rng.standard_normal((dim // heads, dim)) for _ in range(heads))
+          for _ in range(3)),
+        w_out=tuple(rng.standard_normal((dim, dim // heads)) for _ in range(heads)),
+        score_temp=(8.0,) * heads, bias_temp=(8.0,) * heads)
+    z = rng.standard_normal(dim) / math.sqrt(dim)
+    tokens = rng.standard_normal((dim, n)) / math.sqrt(dim)
+    _call_forward(name, params, z, tokens)  # build the params' cached stacks
+    tracemalloc.start()
+    try:
+        _call_forward(name, params, z, tokens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tokens.nbytes / 4

@@ -105,8 +105,9 @@ def _loop_weights(p, h, z, tokens, distance):
     return q, keys, weights / weights.sum()
 
 
-def _loop_forward(name, p, z, tokens, momentum):
-    """Each forward as one loop over heads with per-head matrices."""
+def _loop_forward(name, p, z, tokens, momentum, gates=None):
+    """Each forward as one loop over heads with per-head matrices: every
+    head projects every token, W_k,h H and W_v,h H."""
     if name == "softmax_attention":
         name = "mha"
     if name in ("momen_mha", "nag_mha"):
@@ -116,6 +117,11 @@ def _loop_forward(name, p, z, tokens, momentum):
         return z - p.eta * new_p
     out = z.copy()
     for h in range(p.heads):
+        if name == "linear_attention":
+            scores = (p.w_query[h] @ z) @ (p.w_key[h] @ tokens)
+            out += (p.w_value[h] @ tokens) @ (scores if gates is None
+                                              else gates * scores)
+            continue
         if name in ("mha", "light_mha2nd1st"):
             _, _, weights = _loop_weights(p, h, z, tokens, distance=False)
             values = p.w_value[h] @ tokens
@@ -177,6 +183,8 @@ def _forward_cases(draw):
           "bias_temp": 100.0, "seed": 0})
 @example({"heads": 4, "head_dim": 2, "tokens": 7, "score_temp": 100.0,
           "bias_temp": 0.01, "seed": 1})
+@example({"heads": 1, "head_dim": 3, "tokens": 1, "score_temp": 1.0,
+          "bias_temp": 1.0, "seed": 2})
 def test_stacked_forwards_equal_per_head_loop(case):
     rng = np.random.default_rng(case["seed"])
     heads, head_dim = case["heads"], case["head_dim"]
@@ -195,13 +203,20 @@ def test_stacked_forwards_equal_per_head_loop(case):
     z = rng.standard_normal(dim)
     tokens = rng.standard_normal((dim, case["tokens"]))
     momentum = rng.standard_normal(dim)
+    gates = rng.uniform(0.0, 2.0, case["tokens"])
     # two correct solves of one system differ by up to its condition number
     assume(_conditioning(params, z, tokens) < 1e3)
-    for name in FORWARDS + (("softmax_attention",) if heads == 1 else ()):
-        expected = _loop_forward(name, params, z, tokens, momentum)
+    calls = [(name, None) for name in FORWARDS]
+    if heads == 1:
+        calls += [("softmax_attention", None), ("linear_attention", None),
+                  ("linear_attention", gates)]
+    for name, call_gates in calls:
+        expected = _loop_forward(name, params, z, tokens, momentum, call_gates)
         forward = getattr(attn, name)
         if name in ("momen_mha", "nag_mha"):
             actual = forward(params, z, tokens, attn.MomentumState(momentum))[0]
+        elif call_gates is not None:
+            actual = forward(params, z, tokens, call_gates)
         else:
             actual = forward(params, z, tokens)
         scale_out = max(1.0, float(np.max(np.abs(expected))))
