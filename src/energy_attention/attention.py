@@ -180,18 +180,7 @@ def range_space_cache(params: AttentionParams) -> RangeSpaceCache:
 def _inputs(params: AttentionParams, z, tokens) -> tuple[np.ndarray, np.ndarray]:
     """A forward's query as a finite length-d vector and its tokens as a
     finite d x N matrix with N >= 1."""
-    z, tokens = np.asarray(z, dtype=np.float64), np.asarray(tokens, dtype=np.float64)
-    dim = params.dim
-    if z.shape != (dim,):
-        raise ValueError(f"query must be a length-{dim} vector, got shape {z.shape}")
-    if tokens.ndim != 2 or tokens.shape[0] != dim or tokens.shape[1] < 1:
-        raise ValueError(f"tokens must be a {dim} x N matrix with N >= 1, "
-                         f"got shape {tokens.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("query has non-finite entries")
-    if not np.isfinite(tokens).all():
-        raise ValueError("tokens have non-finite entries")
-    return z, tokens
+    return nk.as_query(z, params.dim), nk.as_tokens(tokens, params.dim)
 
 
 def _distance_weights(params: AttentionParams, z: np.ndarray, tokens: np.ndarray

@@ -136,12 +136,16 @@ def descend(spec: en.EnergySpec, optimizer, z0: np.ndarray, tokens: np.ndarray,
     is the initial point. A non-finite energy truncates the trace with stop
     reason "diverged"; an uninvertible Newton bracket (without eps) stops
     with "singular". ``project_radius`` optionally rescales each iterate back
-    to that norm (radial projection), off by default.
+    to that norm (radial projection), off by default. A start point or
+    tokens that do not fit the spec's dimensions, or are not finite, raise
+    ``ValueError``.
     """
     _validate(optimizer)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and > 0")
-    z = nk.as_vector(z0).copy()
+    dim, token_dim = en._pair_dims(spec.pair)
+    z = nk.as_query(z0, dim).copy()
+    tokens = nk.as_tokens(tokens, token_dim)
     # one core per descent; each iterate's evaluation also yields the
     # Boltzmann weights the Newton bracket needs
     core = en._Core(spec, tokens, convention)

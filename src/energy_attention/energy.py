@@ -8,8 +8,9 @@ token matrix (d x N, one token per column) explicitly and returns plain
 floats/arrays. One private core computes every energy, Boltzmann weight,
 log-partition and query gradient of every kind, for one query or a masked
 d x Q block; the operations are short calls into it (and reject a
-non-finite query), and ``gradient_engine`` keeps one core for iterations:
-it accepts every kind and checks its prefix limits for both call forms.
+non-finite query), one formula gives every single-head map gradient, and
+``gradient_engine`` keeps one core for iterations: it accepts every kind and
+checks its prefix limits for both call forms.
 ``newton_step`` is the per-head Newton step of the elastic free energy, all
 heads at once, that the Newton optimizer and attention forwards share.
 
@@ -80,6 +81,15 @@ class PerHeadInner:
 
     w_query: tuple[np.ndarray, ...]
     w_key: tuple[np.ndarray, ...]
+
+
+def _pair_dims(pair) -> tuple[int, int]:
+    """The query and token dimensions that a pair energy's weights accept."""
+    if isinstance(pair, (Elastic, InnerProduct)):
+        return pair.weight.shape
+    if isinstance(pair, (KernelInner, PerHeadElastic, PerHeadInner)):
+        return np.shape(pair.w_query)[-1], np.shape(pair.w_key)[-1]
+    raise ValueError(f"unknown pair energy {type(pair).__name__}")
 
 
 @dataclass(frozen=True)
@@ -450,15 +460,25 @@ def grad_z(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
 
 def grad_weight(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """Gradient of the single-head Helmholtz energy in the pair-energy map W."""
+    return _map_grad(spec, _query(z), tokens)
+
+
+def _map_grad(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
+              mask=None) -> np.ndarray:
+    """``grad_weight`` of one query or summed over a d x Q block Z, with
+    ``mask`` (Q x N) True at the pairs left out: W H diag(1^T P) H^T - Z P H^T
+    elastic, -Z P H^T inner, for tokens H and Boltzmann weights P (Q x N)."""
     pair = spec.pair
     if not (isinstance(spec.global_energy, Helmholtz)
             and isinstance(pair, (Elastic, InnerProduct))):
         raise ValueError("no analytic weight gradient for this energy configuration")
     core = _Core(spec, tokens)
-    weights = core.boltzmann(_query(z))[0]
-    if isinstance(pair, InnerProduct):
-        return -np.outer(z, tokens @ weights)
-    return ((core.keys - z[:, None]) * weights) @ tokens.T
+    block = z.reshape(z.shape[0], -1)
+    weights = core.boltzmann(block, mask)[0]
+    pulled = block @ weights
+    if core.elastic:
+        return (core.keys * weights.sum(axis=0) - pulled) @ tokens.T
+    return -pulled @ tokens.T
 
 
 def gradient_engine(spec: EnergySpec, tokens: np.ndarray,

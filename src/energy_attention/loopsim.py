@@ -9,7 +9,11 @@ token matrix, so the position order is irrelevant.
 Training couples the token energy with a cross-entropy head: positions (or
 a designated classification query) descend the energy, while the shared
 energy map and the projection head descend their own gradients, one
-averaged step per epoch.
+averaged step per epoch. Both trainers share one epoch loop over per-sample
+position blocks: per sample and epoch, one masked block evaluation gives
+every position's energy and Boltzmann weights, the map gradient is one
+formula over those weights, and the cross-entropy is a column-wise
+log-softmax. Datasets are checked once, when training starts.
 """
 
 from __future__ import annotations
@@ -59,10 +63,6 @@ class LoopTrace:
     epochs: list[EpochRecord] = field(default_factory=list)
     final_weight: np.ndarray | None = None
     final_head: np.ndarray | None = None
-
-
-def _attended(tokens: np.ndarray, position: int, causal: bool) -> np.ndarray:
-    return tokens[:, :position + 1] if causal else tokens
 
 
 def _total_energy(cfg: LoopConfig, tokens: np.ndarray) -> tuple[float, np.ndarray]:
@@ -146,75 +146,126 @@ def two_cluster_dataset(rng: nk.Rng, samples_per_class: int, tokens_per_sample: 
 # alternating optimization
 # ---------------------------------------------------------------------------
 
-def _rebuild_spec(spec: en.EnergySpec, weight: np.ndarray) -> en.EnergySpec:
-    return en.EnergySpec(type(spec.pair)(weight), spec.global_energy)
-
-
-def _trainable_weight(spec: en.EnergySpec) -> np.ndarray:
-    """A copy of the energy map that training updates."""
-    if not isinstance(spec.pair, (en.Elastic, en.InnerProduct)):
+def _checked(cfg: LoopConfig, dataset, per_position: bool) -> list:
+    """The samples as float arrays, checked once: finite d x N tokens with
+    N >= 1, labels on the simplex, length C per sample or C x N with
+    ``per_position``, one class count C throughout and a d x C head; any
+    other dataset raises ``ValueError``."""
+    if not dataset:
+        raise ValueError("dataset must be nonempty")
+    if not isinstance(cfg.spec.pair, (en.Elastic, en.InnerProduct)):
         raise ValueError("training supports single-head Elastic or InnerProduct "
-                         f"pair energies, not {type(spec.pair).__name__}")
-    return spec.pair.weight.copy()
+                         f"pair energies, not {type(cfg.spec.pair).__name__}")
+    dim = cfg.spec.pair.weight.shape[0]
+    checked = []
+    for index, (tokens, labels) in enumerate(dataset):
+        try:
+            tokens = nk.as_tokens(tokens, dim)
+        except ValueError as err:
+            raise ValueError(f"sample {index}: {err}") from None
+        labels = np.asarray(labels, dtype=np.float64)
+        positions = tokens.shape[1:] if per_position else ()
+        if labels.ndim == 0 or labels.shape[1:] != positions:
+            layout = "a C x N matrix" if per_position else "a length-C vector"
+            raise ValueError(f"sample {index}: labels must be {layout}, "
+                             f"got shape {labels.shape} for {tokens.shape[1]} tokens")
+        classes = len(checked[0][1]) if checked else len(labels)
+        if len(labels) != classes:
+            raise ValueError(f"sample {index} has {len(labels)} classes, "
+                             f"sample 0 has {classes}")
+        if not (np.all(labels >= -1e-10)
+                and np.all(np.abs(labels.sum(axis=0) - 1.0) <= 1e-10)):
+            raise ValueError(f"sample {index}: labels off the probability simplex")
+        checked.append((tokens, labels))
+    shape = (dim, len(checked[0][1]))
+    if cfg.head is not None and np.shape(cfg.head) != shape:
+        raise ValueError(f"head must be a {shape[0]} x {shape[1]} (dim x classes) "
+                         f"matrix, got shape {np.shape(cfg.head)}")
+    return checked
 
 
-def _require_head(cfg: LoopConfig, classes: int) -> np.ndarray:
-    if cfg.head is not None:
-        return nk.as_matrix(cfg.head).copy()
-    return np.zeros((cfg.spec.pair.weight.shape[0], classes))
+def _head_terms(head: np.ndarray, z: np.ndarray, labels: np.ndarray
+                ) -> tuple[float, np.ndarray]:
+    """Summed cross-entropy of the columns of head^T z (d x Q) against the
+    label columns (C x Q), and its gradient in the head."""
+    logits = head.T @ z
+    probs, lse = nk.softmax_lse_rows(logits.T)
+    return float(np.sum(lse) - np.sum(labels * logits)), z @ (probs - labels.T)
+
+
+def _alternate(cfg: LoopConfig, blocks, epochs: int, eta: float,
+               advance) -> LoopTrace:
+    """The epoch loop both trainers share.
+
+    A block is one sample's positions (d x Q), tokens (d x N), token mask
+    (Q x N, True at the pairs left out, or None) and labels (C x Q);
+    ``blocks`` are the first ones. ``advance(spec, blocks)`` returns the
+    next epoch's blocks under the map ``spec`` and whether a forward
+    diverged. Per epoch the map and the head each take one step on their
+    gradients averaged over all positions; record 0 is the initialization
+    and the final positions become the iterates.
+    """
+    spec = cfg.spec
+    weight = spec.pair.weight.copy()
+    head = (np.zeros((weight.shape[0], blocks[0][3].shape[0])) if cfg.head is None
+            else nk.as_matrix(cfg.head).copy())
+
+    def record(epoch: int) -> EpochRecord:
+        """One masked block evaluation per sample."""
+        ce = sum(_head_terms(head, z, labels)[0] for z, _, _, labels in blocks)
+        fe = sum(float(np.sum(en._Core(spec, tokens).value(z, mask)[0]))
+                 for z, tokens, mask, _ in blocks)
+        return EpochRecord(epoch, float(ce), fe, float(np.linalg.norm(weight)),
+                           float(np.linalg.norm(head)))
+
+    trace = LoopTrace(epochs=[record(0)])
+    positions = sum(z.shape[1] for z, *_ in blocks)
+    for epoch in range(1, epochs + 1):
+        blocks, diverged = advance(spec, blocks)
+        if diverged:
+            trace.stop_reason = "diverged"
+            return trace
+        weight_grad = sum(en._map_grad(spec, z, tokens, mask)
+                          for z, tokens, mask, _ in blocks)
+        head_grad = sum(_head_terms(head, z, labels)[1]
+                        for z, _, _, labels in blocks)
+        weight = weight - eta * weight_grad / positions
+        spec = en.EnergySpec(type(spec.pair)(weight), spec.global_energy)
+        head = head - eta * head_grad / positions
+        current = record(epoch)
+        if not (np.isfinite(current.cross_entropy) and np.isfinite(current.free_energy)):
+            trace.stop_reason = "diverged"
+            return trace
+        trace.epochs.append(current)
+    trace.final_weight = weight
+    trace.final_head = head
+    trace.iterates = [z for z, *_ in blocks]
+    return trace
 
 
 def alternating_optimize(cfg: LoopConfig, dataset, epochs: int,
-                         eta: float | None = None,
-                         convention: str = "strict") -> LoopTrace:
+                         eta: float | None = None) -> LoopTrace:
     """Single-attention-layer training as alternating descent.
 
     Each sample carries a token matrix and a one-hot label; a classification
     query per sample (initialized to the sample's token mean) attends to all
-    of its tokens. Per epoch: one descent step on every query, then one
-    dataset-averaged step on the shared energy map, then one on the
+    of its tokens. Per epoch: one strict descent step on every query, then
+    one dataset-averaged step on the shared energy map, then one on the
     projection head. The recorded objective is total cross-entropy plus
     total free energy, evaluated at the end of the epoch; record 0 is the
-    initialization.
+    initialization. The final queries are the one iterate, d x samples.
     """
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
     eta = cfg.eta if eta is None else eta
-    classes = dataset[0][1].shape[0]
-    weight = _trainable_weight(cfg.spec)
-    head = _require_head(cfg, classes)
-    spec = _rebuild_spec(cfg.spec, weight)
-    queries = [np.mean(tokens, axis=1) for tokens, _ in dataset]
+    dataset = _checked(cfg, dataset, per_position=False)
 
-    def snapshot(epoch: int) -> EpochRecord:
-        ce = sum(cross_entropy(head.T @ q, y) for q, (_, y) in zip(queries, dataset))
-        fe = sum(en.energy_value(spec, q, tokens)
-                 for q, (tokens, _) in zip(queries, dataset))
-        return EpochRecord(epoch, float(ce), float(fe),
-                           float(np.linalg.norm(weight)),
-                           float(np.linalg.norm(head)))
+    def advance(spec, blocks):
+        return [(z - eta * en.gradient_engine(spec, tokens)(z)[1], tokens, None, labels)
+                for z, tokens, _, labels in blocks], False
 
-    trace = LoopTrace(epochs=[snapshot(0)])
-    for epoch in range(1, epochs + 1):
-        for idx, (tokens, _) in enumerate(dataset):
-            queries[idx] = queries[idx] - eta * en.grad_z(
-                spec, queries[idx], tokens, convention)
-        weight_grad = np.mean(
-            [en.grad_weight(spec, q, tokens)
-             for q, (tokens, _) in zip(queries, dataset)], axis=0)
-        weight = weight - eta * weight_grad
-        spec = _rebuild_spec(spec, weight)
-        head_grad = np.mean(
-            [ce_grad_head(head, q, y) for q, (_, y) in zip(queries, dataset)], axis=0)
-        head = head - eta * head_grad
-        record = snapshot(epoch)
-        if not (np.isfinite(record.cross_entropy) and np.isfinite(record.free_energy)):
-            trace.stop_reason = "diverged"
-            return trace
-        trace.epochs.append(record)
-    trace.final_weight = weight
-    trace.final_head = head
-    trace.iterates = [np.stack(queries, axis=1)] if queries else []
+    first = [(tokens.mean(axis=1, keepdims=True), tokens, None, label[:, None])
+             for tokens, label in dataset]
+    trace = _alternate(cfg, first, epochs, eta, advance)
+    trace.iterates = [np.hstack(trace.iterates)] if trace.iterates else []
     return trace
 
 
@@ -225,58 +276,23 @@ def loop_alternating_optimize(cfg: LoopConfig, dataset, epochs: int,
     Each sample is a token sequence with per-position one-hot labels
     (classes x positions). A pass runs the full loop forward from the raw
     tokens under the current energy map, then takes one averaged descent
-    step on the map (using the final iterate and its attended sets) and one
-    on the projection head.
+    step on the map (every final position against its attended set in the
+    final iterate) and one on the projection head. The iterates are the
+    samples' final loop iterates.
     """
-    if not dataset:
-        raise ValueError("dataset must be nonempty")
     eta = cfg.eta if eta is None else eta
-    classes = dataset[0][1].shape[0]
-    weight = _trainable_weight(cfg.spec)
-    head = _require_head(cfg, classes)
-    spec = _rebuild_spec(cfg.spec, weight)
+    dataset = _checked(cfg, dataset, per_position=True)
 
-    def run_forward(tokens):
+    # position q attends to tokens 0..q when causal
+    masks = [~np.tri(t.shape[1], dtype=bool) if cfg.causal else None for t, _ in dataset]
+
+    def forwards(spec):
+        """Every sample's final loop iterate as its block, and whether one diverged."""
         live = LoopConfig(spec, cfg.iterations, eta, cfg.causal, cfg.convention)
-        return loop_forward(live, tokens)
+        traces = [loop_forward(live, tokens) for tokens, _ in dataset]
+        return ([(t.iterates[-1], t.iterates[-1], mask, labels)
+                 for t, mask, (_, labels) in zip(traces, masks, dataset)],
+                any(t.stop_reason == "diverged" for t in traces))
 
-    def snapshot(epoch: int, finals) -> EpochRecord:
-        ce = 0.0
-        fe = 0.0
-        for final, (_, labels) in zip(finals, dataset):
-            for i in range(final.shape[1]):
-                ce += cross_entropy(head.T @ final[:, i], labels[:, i])
-            fe += _total_energy(LoopConfig(spec, 0, eta, cfg.causal), final)[0]
-        return EpochRecord(epoch, float(ce), float(fe),
-                           float(np.linalg.norm(weight)),
-                           float(np.linalg.norm(head)))
-
-    finals = [run_forward(tokens).iterates[-1] for tokens, _ in dataset]
-    trace = LoopTrace(epochs=[snapshot(0, finals)])
-    for epoch in range(1, epochs + 1):
-        finals = []
-        for tokens, _ in dataset:
-            forward = run_forward(tokens)
-            if forward.stop_reason == "diverged":
-                trace.stop_reason = "diverged"
-                return trace
-            finals.append(forward.iterates[-1])
-        weight_grads = []
-        head_grads = []
-        for final, (_, labels) in zip(finals, dataset):
-            for i in range(final.shape[1]):
-                attended = _attended(final, i, cfg.causal)
-                weight_grads.append(en.grad_weight(spec, final[:, i], attended))
-                head_grads.append(ce_grad_head(head, final[:, i], labels[:, i]))
-        weight = weight - eta * np.mean(weight_grads, axis=0)
-        spec = _rebuild_spec(spec, weight)
-        head = head - eta * np.mean(head_grads, axis=0)
-        record = snapshot(epoch, finals)
-        if not (np.isfinite(record.cross_entropy) and np.isfinite(record.free_energy)):
-            trace.stop_reason = "diverged"
-            return trace
-        trace.epochs.append(record)
-    trace.final_weight = weight
-    trace.final_head = head
-    trace.iterates = finals
-    return trace
+    return _alternate(cfg, forwards(cfg.spec)[0], epochs, eta,
+                      lambda spec, _: forwards(spec))

@@ -46,6 +46,27 @@ def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndar
     return m
 
 
+def as_query(z, dim: int) -> np.ndarray:
+    """Return a query point as a finite float64 vector of length ``dim``."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != (dim,):
+        raise ValueError(f"query must be a length-{dim} vector, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("query has non-finite entries")
+    return z
+
+
+def as_tokens(tokens, dim: int) -> np.ndarray:
+    """Return tokens as a finite float64 ``dim`` x N matrix with N >= 1."""
+    tokens = np.asarray(tokens, dtype=np.float64)
+    if tokens.ndim != 2 or tokens.shape[0] != dim or tokens.shape[1] < 1:
+        raise ValueError(f"tokens must be a {dim} x N matrix with N >= 1, "
+                         f"got shape {tokens.shape}")
+    if not np.isfinite(tokens).all():
+        raise ValueError("tokens have non-finite entries")
+    return tokens
+
+
 def as_token_matrix(data, orientation: str = "columns") -> np.ndarray:
     """Coerce token data to the d x N one-token-per-column layout.
 

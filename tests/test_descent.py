@@ -250,3 +250,42 @@ def test_descend_rejects_non_finite_scalars(optimizer, kwargs, message):
     with pytest.raises(ValueError, match=message):
         de.descend(en.elastic_spec(np.eye(2), 1.0), optimizer, np.zeros(2),
                    np.ones((2, 1)), max_iters=3, **kwargs)
+
+
+@pytest.mark.parametrize("optimizer", [de.Vanilla(0.1), de.NewtonSubspace(0.5)])
+@pytest.mark.parametrize("bad, message", [
+    ("nan token", "tokens have non-finite entries"),
+    ("inf token", "tokens have non-finite entries"),
+    ("no tokens", r"tokens must be a 6 x N matrix with N >= 1"),
+    ("wrong token dim", r"tokens must be a 6 x N matrix with N >= 1"),
+    ("short start", "query must be a length-6 vector"),
+    ("nan start", "query has non-finite entries"),
+])
+def test_descend_rejects_bad_inputs_at_entry(optimizer, bad, message):
+    spec, z0, tokens = _elastic_instance(31, dim=6, n=5)
+    z0, tokens = {
+        "nan token": (z0, np.where(np.arange(5) == 2, np.nan, tokens)),
+        "inf token": (z0, np.where(np.arange(5) == 0, np.inf, tokens)),
+        "no tokens": (z0, tokens[:, :0]),
+        "wrong token dim": (z0, tokens[:5]),
+        "short start": (z0[:5], tokens),
+        "nan start": (np.where(np.arange(6) == 1, np.nan, z0), tokens),
+    }[bad]
+    with pytest.raises(ValueError, match=message):
+        de.descend(spec, optimizer, z0, tokens, max_iters=3, tol=1e-6)
+    with pytest.raises(ValueError, match=message):
+        de.compare_optimizers(spec, z0, tokens, [optimizer], budget=3, tol=1e-6)
+
+
+def test_descend_checks_per_head_and_kernel_dimensions():
+    rng = nk.Rng(32)
+    maps = [tuple(rng.normal_matrix(2, 6, 0.3) for _ in range(3)) for _ in range(2)]
+    specs = (en.per_head_elastic_spec(*maps, 1.0),
+             en.kernel_spec(rng.normal_matrix(4, 6, 0.3), rng.normal_matrix(4, 6, 0.3), 1.0))
+    for spec in specs:
+        trace = de.descend(spec, de.Vanilla(0.1), rng.normal_vector(6),
+                           rng.normal_matrix(6, 4), max_iters=2, tol=1e-300)
+        assert trace.stop_reason == "max_iters"
+        with pytest.raises(ValueError, match=r"tokens must be a 6 x N matrix"):
+            de.descend(spec, de.Vanilla(0.1), rng.normal_vector(6),
+                       rng.normal_matrix(4, 4), max_iters=2, tol=1e-300)

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from energy_attention import attention as attn
 from energy_attention import descent as de
@@ -312,6 +314,79 @@ def test_training_rejects_unsupported_specs():
                 train(cfg, dataset, epochs=1)
 
 
+def _sequences(data):
+    return [(tokens, np.tile(label[:, None], (1, tokens.shape[1])))
+            for tokens, label in data]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("nan token", "sample 1: tokens have non-finite entries"),
+    ("wrong token dim", r"sample 0: tokens must be a 8 x N matrix with N >= 1"),
+    ("no tokens", r"sample 0: tokens must be a 8 x N matrix with N >= 1"),
+    ("token vector", r"sample 0: tokens must be a 8 x N matrix with N >= 1"),
+    ("label matrix", "sample 0: labels must be a length-C vector"),
+    ("scalar label", "sample 0: labels must be a length-C vector"),
+    ("off simplex", "sample 2: labels off the probability simplex"),
+    ("nan label", "sample 2: labels off the probability simplex"),
+    ("mixed classes", "sample 1 has 3 classes, sample 0 has 2"),
+    ("wrong head", r"head must be a 8 x 2 \(dim x classes\) matrix"),
+])
+def test_alternating_rejects_bad_dataset_at_entry(bad, message):
+    cfg, rng = _training_config(5)
+    data = ls.two_cluster_dataset(rng, 2, 4, 8)
+    tokens, label = data[0]
+    edits = {
+        "nan token": (1, (np.where(tokens == tokens[3, 1], np.nan, tokens), label)),
+        "wrong token dim": (0, (tokens[:6], label)),
+        "no tokens": (0, (tokens[:, :0], label)),
+        "token vector": (0, (tokens[:, 0], label)),
+        "label matrix": (0, (tokens, label[:, None])),
+        "scalar label": (0, (tokens, 1.0)),
+        "off simplex": (2, (tokens, np.array([0.7, 0.7]))),
+        "nan label": (2, (tokens, np.array([np.nan, 1.0]))),
+        "mixed classes": (1, (tokens, ls.one_hot(0, 3))),
+    }
+    if bad == "wrong head":
+        cfg = ls.LoopConfig(cfg.spec, 1, 0.1, causal=False, head=cfg.head[:, :1])
+    else:
+        index, sample = edits[bad]
+        data[index] = sample
+    with pytest.raises(ValueError, match=message):
+        ls.alternating_optimize(cfg, data, epochs=1)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("inf token", "sample 3: tokens have non-finite entries"),
+    ("no tokens", r"sample 0: tokens must be a 8 x N matrix with N >= 1"),
+    ("label vector", r"sample 0: labels must be a C x N matrix, got shape \(2,\)"),
+    ("short labels", r"sample 1: labels must be a C x N matrix, got shape \(2, 3\) "
+                     "for 4 tokens"),
+    ("off simplex", "sample 0: labels off the probability simplex"),
+    ("mixed classes", "sample 2 has 3 classes, sample 0 has 2"),
+    ("wrong head", r"head must be a 8 x 2 \(dim x classes\) matrix, got shape \(2, 8\)"),
+])
+def test_loop_alternating_rejects_bad_dataset_at_entry(bad, message):
+    cfg, rng = _training_config(6)
+    data = _sequences(ls.two_cluster_dataset(rng, 2, 4, 8))
+    tokens, labels = data[0]
+    three = np.vstack([labels, np.zeros((1, 4))])
+    edits = {
+        "inf token": (3, (np.where(tokens == tokens[0, 0], np.inf, tokens), labels)),
+        "no tokens": (0, (tokens[:, :0], labels)),
+        "label vector": (0, (tokens, labels[:, 0])),
+        "short labels": (1, (tokens, labels[:, :3])),
+        "off simplex": (0, (tokens, 0.5 * labels)),
+        "mixed classes": (2, (tokens, three)),
+    }
+    if bad == "wrong head":
+        cfg = ls.LoopConfig(cfg.spec, 1, 0.1, causal=True, head=cfg.head.T)
+    else:
+        index, sample = edits[bad]
+        data[index] = sample
+    with pytest.raises(ValueError, match=message):
+        ls.loop_alternating_optimize(cfg, data, epochs=1)
+
+
 def test_loop_alternating_runs_and_improves():
     cfg, rng = _training_config(3, iterations=2)
     cfg = ls.LoopConfig(cfg.spec, 2, 0.05, causal=True, head=cfg.head)
@@ -333,3 +408,163 @@ def test_two_cluster_dataset_shapes():
     for tokens, _ in data:
         assert tokens.shape == (8, 5)
         np.testing.assert_allclose(np.linalg.norm(tokens, axis=0), 2.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# per-position reference trainers
+# ---------------------------------------------------------------------------
+
+def _prefix(x, i, causal):
+    return x[:, :i + 1] if causal else x
+
+
+def _reference_alternating(cfg, dataset, epochs, eta):
+    """Single-layer alternating descent, one query and one call per sample."""
+    weight = cfg.spec.pair.weight.copy()
+    head = cfg.head.copy()
+    spec = cfg.spec
+    queries = [np.mean(tokens, axis=1) for tokens, _ in dataset]
+
+    def snapshot(epoch):
+        ce = sum(ls.cross_entropy(head.T @ q, y) for q, (_, y) in zip(queries, dataset))
+        fe = sum(en.energy_value(spec, q, tokens)
+                 for q, (tokens, _) in zip(queries, dataset))
+        return [epoch, ce, fe, np.linalg.norm(weight), np.linalg.norm(head)]
+
+    records = [snapshot(0)]
+    for epoch in range(1, epochs + 1):
+        queries = [q - eta * en.grad_z(spec, q, tokens)
+                   for q, (tokens, _) in zip(queries, dataset)]
+        weight = weight - eta * np.mean(
+            [en.grad_weight(spec, q, tokens) for q, (tokens, _) in zip(queries, dataset)],
+            axis=0)
+        spec = en.EnergySpec(type(spec.pair)(weight), spec.global_energy)
+        head = head - eta * np.mean(
+            [ls.ce_grad_head(head, q, y) for q, (_, y) in zip(queries, dataset)], axis=0)
+        records.append(snapshot(epoch))
+    return records, weight, head, [np.stack(queries, axis=1)]
+
+
+def _reference_loop_alternating(cfg, dataset, epochs, eta):
+    """Loop training with every map, head and energy term taken per position
+    against its attended set in the final iterate."""
+    weight = cfg.spec.pair.weight.copy()
+    head = cfg.head.copy()
+    spec = cfg.spec
+
+    def forward():
+        live = ls.LoopConfig(spec, cfg.iterations, eta, cfg.causal, cfg.convention)
+        return [ls.loop_forward(live, tokens).iterates[-1] for tokens, _ in dataset]
+
+    def snapshot(epoch, finals):
+        ce = fe = 0.0
+        for final, (_, labels) in zip(finals, dataset):
+            for i in range(final.shape[1]):
+                ce += ls.cross_entropy(head.T @ final[:, i], labels[:, i])
+                fe += en.energy_value(spec, final[:, i], _prefix(final, i, cfg.causal))
+        return [epoch, ce, fe, np.linalg.norm(weight), np.linalg.norm(head)]
+
+    finals = forward()
+    records = [snapshot(0, finals)]
+    for epoch in range(1, epochs + 1):
+        finals = forward()
+        weight_grads, head_grads = [], []
+        for final, (_, labels) in zip(finals, dataset):
+            for i in range(final.shape[1]):
+                attended = _prefix(final, i, cfg.causal)
+                weight_grads.append(en.grad_weight(spec, final[:, i], attended))
+                head_grads.append(ls.ce_grad_head(head, final[:, i], labels[:, i]))
+        weight = weight - eta * np.mean(weight_grads, axis=0)
+        spec = en.EnergySpec(type(spec.pair)(weight), spec.global_energy)
+        head = head - eta * np.mean(head_grads, axis=0)
+        records.append(snapshot(epoch, finals))
+    return records, weight, head, finals
+
+
+def _oracle_case(trainer, energy, causal, temp, seed=41):
+    rng = nk.Rng(seed)
+    d, n = 5, 4
+    make = en.elastic_spec if energy == "elastic" else en.inner_product_spec
+    cfg = ls.LoopConfig(make(rng.normal_matrix(d, d, 1 / math.sqrt(d)), temp), 2, 0.2,
+                        causal=causal, head=rng.normal_matrix(d, 3, 0.3))
+    data = []
+    for tokens, _ in ls.two_cluster_dataset(rng, 2, n, d):
+        labels = rng.uniforms(3 * n).reshape(3, n)
+        labels /= labels.sum(axis=0)
+        data.append((tokens, labels if trainer == "loop" else labels[:, 0]))
+    return cfg, data
+
+
+@pytest.mark.parametrize("temp", [1.0, 0.5, 0.05])
+@pytest.mark.parametrize("causal", [True, False])
+@pytest.mark.parametrize("energy", ["elastic", "inner"])
+@pytest.mark.parametrize("trainer", ["single", "loop"])
+def test_trainers_match_per_position_reference(trainer, energy, causal, temp):
+    cfg, data = _oracle_case(trainer, energy, causal, temp)
+    train, reference = {
+        "single": (ls.alternating_optimize, _reference_alternating),
+        "loop": (ls.loop_alternating_optimize, _reference_loop_alternating),
+    }[trainer]
+    trace = train(cfg, data, 3)
+    records, weight, head, iterates = reference(cfg, data, 3, cfg.eta)
+    assert trace.stop_reason == "completed"
+    got = [[r.epoch, r.cross_entropy, r.free_energy, r.weight_norm, r.head_norm]
+           for r in trace.epochs]
+    np.testing.assert_allclose(got, records, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.final_weight, weight, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(trace.final_head, head, rtol=1e-12, atol=1e-14)
+    assert len(trace.iterates) == len(iterates)
+    for got_x, want_x in zip(trace.iterates, iterates):
+        np.testing.assert_allclose(got_x, want_x, rtol=1e-12, atol=1e-14)
+
+
+@st.composite
+def _block_terms_cases(draw):
+    causal = draw(st.booleans())
+    tokens = draw(st.integers(1, 6))
+    return {"energy": draw(st.sampled_from(["elastic", "inner"])),
+            "causal": causal, "dim": draw(st.integers(1, 5)), "tokens": tokens,
+            "queries": tokens if causal else draw(st.integers(1, 5)),
+            "classes": draw(st.integers(1, 3)),
+            "temperature": 10.0 ** draw(st.floats(-2.0, 2.0)),
+            "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+def _close_to_sum(got, terms):
+    """``got`` equals the sum of ``terms`` at 1e-12 of their magnitude."""
+    terms = np.asarray(terms)
+    scale = 1.0 + np.max(np.abs(terms))
+    np.testing.assert_allclose(got, terms.sum(axis=0), rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_block_terms_cases())
+@example({"energy": "elastic", "causal": True, "dim": 3, "tokens": 1, "queries": 1,
+          "classes": 2, "temperature": 1.0, "seed": 0})
+@example({"energy": "inner", "causal": False, "dim": 4, "tokens": 1, "queries": 3,
+          "classes": 3, "temperature": 0.01, "seed": 1})
+def test_block_training_terms_equal_per_column_terms(case):
+    # the summed cross-entropy, free energy, map gradient and head gradient of
+    # one masked block against the per-position single-vector helpers
+    rng = np.random.default_rng(case["seed"])
+    d, n, q, c = case["dim"], case["tokens"], case["queries"], case["classes"]
+    make = en.elastic_spec if case["energy"] == "elastic" else en.inner_product_spec
+    spec = make(rng.standard_normal((d, d)) / math.sqrt(d), case["temperature"])
+    tokens = rng.standard_normal((d, n))
+    if case["causal"]:
+        block, mask = tokens, np.arange(n) > np.arange(n)[:, None]
+    else:
+        block, mask = rng.standard_normal((d, q)), None
+    head = rng.standard_normal((d, c))
+    labels = rng.uniform(size=(c, q))
+    labels /= labels.sum(axis=0)
+    attended = [_prefix(tokens, i, case["causal"]) for i in range(q)]
+    columns = list(zip(block.T, labels.T, attended))
+
+    ce, head_grad = ls._head_terms(head, block, labels)
+    _close_to_sum(ce, [ls.cross_entropy(head.T @ z, y) for z, y, _ in columns])
+    _close_to_sum(head_grad, [ls.ce_grad_head(head, z, y) for z, y, _ in columns])
+    _close_to_sum(en._map_grad(spec, block, tokens, mask),
+                  [en.grad_weight(spec, z, h) for z, _, h in columns])
+    _close_to_sum(np.sum(en._Core(spec, tokens).value(block, mask)[0]),
+                  [en.energy_value(spec, z, h) for z, _, h in columns])

@@ -1,14 +1,26 @@
 """Seeded outputs pinned at values recorded before the energy core replaced
-the separate op-level and engine implementations.
+the separate op-level and engine implementations, and training outputs
+recorded before both trainers shared one epoch loop (``training_pins.json``).
 
 Iteration counts, stop reasons and witness seeds must not move; final
 energies may move only at the float-reassociation level.
 """
 
+import json
+import math
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from energy_attention import cli
 from energy_attention import descent as de
+from energy_attention import energy as en
 from energy_attention import equivalence as eq
+from energy_attention import loopsim as ls
+from energy_attention import numkit as nk
+
+PINS = json.loads((Path(__file__).parent / "training_pins.json").read_text())
 
 
 def _check_rows(rows, expected):
@@ -59,3 +71,54 @@ def test_verify_all_witnesses_at_cli_defaults():
     hessian = reports[-1].details
     assert (hessian["indefinite_witness_seed"], hessian["stationary_checked"],
             hessian["stationary_skipped"]) == (9, 67, 0)
+
+
+# ---------------------------------------------------------------------------
+# alternating training
+# ---------------------------------------------------------------------------
+
+def _train(trainer, energy, causal, temp):
+    # d=4, 2+2 samples of 5 tokens, 2 loop iterations, rate 0.1, 3 epochs;
+    # loop samples carry a random soft label per position
+    rng = nk.Rng(31)
+    d, n = 4, 5
+    weight = rng.normal_matrix(d, d, 1 / math.sqrt(d))
+    head = rng.normal_matrix(d, 2, 0.3)
+    make = en.elastic_spec if energy == "elastic" else en.inner_product_spec
+    cfg = ls.LoopConfig(make(weight, temp), 2, 0.1, causal=causal, head=head)
+    data = ls.two_cluster_dataset(rng, 2, n, d)
+    if trainer == "single":
+        return ls.alternating_optimize(cfg, data, 3)
+    sequences = []
+    for tokens, _ in data:
+        labels = rng.uniforms(2 * n).reshape(2, n)
+        sequences.append((tokens, labels / labels.sum(axis=0)))
+    return ls.loop_alternating_optimize(cfg, sequences, 3)
+
+
+@pytest.mark.parametrize("pin", PINS["training"], ids=lambda p: "-".join(
+    [p["trainer"], p["energy"], "causal" if p["causal"] else "full", f"T{p['temp']}"]))
+def test_training_records_and_parameters(pin):
+    trace = _train(pin["trainer"], pin["energy"], pin["causal"], pin["temp"])
+    assert trace.stop_reason == pin["stop_reason"]
+    got = [[r.epoch, r.cross_entropy, r.free_energy, r.weight_norm, r.head_norm]
+           for r in trace.epochs]
+    assert [row[0] for row in got] == [row[0] for row in pin["epochs"]]
+    np.testing.assert_allclose(got, pin["epochs"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(trace.final_weight, pin["final_weight"],
+                               rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(trace.final_head, pin["final_head"],
+                               rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("pin", PINS["cli"], ids=lambda p: " ".join(p["args"][1:]))
+def test_loop_training_csv_rows(pin, tmp_path):
+    # `loop` training at CLI defaults: d=8, 8 tokens, 20 samples, 20 epochs,
+    # 4 iterations, lr 0.1, seed 0
+    out = tmp_path / "train.csv"
+    assert cli.main(["loop", *pin["args"], "--out", str(out)]) == 0
+    config, header, *rows = out.read_text().splitlines()
+    assert (config, header) == (pin["config"], pin["header"])
+    got = [[float(v) for v in row.split(",")] for row in rows]
+    assert [row[0] for row in got] == [row[0] for row in pin["rows"]]
+    np.testing.assert_allclose(got, pin["rows"], rtol=1e-12, atol=0)
