@@ -29,6 +29,7 @@ from energy_attention import numkit as nk
 
 SCHEMA_VERSION = 1
 
+VERIFY_HEADER = "claim,instances,max_abs_error,threshold,pass,witness_seed"
 DESCEND_HEADER = "step,energy,grad_norm"
 COMPARE_HEADER = "seed,optimizer,iters_to_tol,final_energy"
 BENCH_HEADER = "variant,N,d,H,median_ns,per-token_ns"
@@ -67,6 +68,38 @@ def _check_numeric_args(args) -> None:
 # output plumbing
 # ---------------------------------------------------------------------------
 
+def _write(args, command: str, config: dict, header: str, rows,
+           records: str | None = None, payload: dict | None = None) -> None:
+    """Write one run to ``args.out`` in ``args.format``.
+
+    CSV: the config comment line, the header, then one line per row, each
+    cell by one rule (float ``.17g``, bool lower-case, None empty, anything
+    else, pre-formatted strings included, as it is). JSON: the schema,
+    command, config and seed, then ``payload``, plus under ``records`` the
+    rows keyed by the header fields.
+    """
+    if args.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": command,
+               "config": config, "seed": config.get("seed"), **(payload or {})}
+        if records is not None:
+            fields = header.split(",")
+            doc[records] = [dict(zip(fields, row)) for row in rows]
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = ["# config: " + json.dumps(config, sort_keys=True), header]
+        lines.extend(",".join(map(_cell, row)) for row in rows)
+        text = "\n".join(lines) + "\n"
+    _write_text(args.out, text)
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return "" if value is None else str(value)
+
+
 def _write_text(path: str | None, text: str) -> None:
     """Write to stdout, or atomically to a file (temp + rename)."""
     if path is None or path == "-":
@@ -84,19 +117,6 @@ def _write_text(path: str | None, text: str) -> None:
         raise
 
 
-def _csv(config: dict, header: str, rows: list[str]) -> str:
-    lines = ["# config: " + json.dumps(config, sort_keys=True), header]
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_doc(command: str, config: dict, payload: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "command": command,
-           "config": config, "seed": config.get("seed")}
-    doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _config_from(args, keys) -> dict:
     return {key: getattr(args, key) for key in keys}
 
@@ -105,34 +125,28 @@ def _config_from(args, keys) -> dict:
 # shared instance construction
 # ---------------------------------------------------------------------------
 
+_SPECS = {"elastic": en.elastic_spec, "inner": en.inner_product_spec,
+          "square-sum": en.square_sum_spec}
+_PER_HEAD_SPECS = {"elastic": en.per_head_elastic_spec,
+                   "inner": en.per_head_inner_spec}
+
+
 def _random_instance(rng: nk.Rng, energy_kind: str, dim: int, tokens_n: int,
                      heads: int, temperature: float, radius: float = 1.0):
     """Random (spec, z0, tokens) for descent-style commands."""
+    if heads > 1 and energy_kind not in _PER_HEAD_SPECS:
+        raise UsageError(f"{energy_kind} energy is single-head only")
     z = nk.sample_hypersphere(rng, dim, radius)
     token_mat = np.stack(
         [nk.sample_hypersphere(rng, dim, radius) for _ in range(tokens_n)], axis=1)
     if heads == 1:
         weight = rng.normal_matrix(dim, dim, 1.0 / math.sqrt(dim))
-        if energy_kind == "elastic":
-            spec = en.elastic_spec(weight, temperature)
-        elif energy_kind == "inner":
-            spec = en.inner_product_spec(weight, temperature)
-        elif energy_kind == "square-sum":
-            spec = en.square_sum_spec(weight, temperature)
-        else:
-            raise UsageError(f"unknown energy {energy_kind!r}")
-        return spec, z, token_mat
+        return _SPECS[energy_kind](weight, temperature), z, token_mat
     head_dim = dim // heads
     scale = 1.0 / math.sqrt(dim)
     w1 = tuple(rng.normal_matrix(head_dim, dim, scale) for _ in range(heads))
     w2 = tuple(rng.normal_matrix(head_dim, dim, scale) for _ in range(heads))
-    if energy_kind == "elastic":
-        spec = en.per_head_elastic_spec(w1, w2, temperature)
-    elif energy_kind == "inner":
-        spec = en.per_head_inner_spec(w1, w2, temperature)
-    else:
-        raise UsageError("square-sum energy is single-head only")
-    return spec, z, token_mat
+    return _PER_HEAD_SPECS[energy_kind](w1, w2, temperature), z, token_mat
 
 
 _OPTIMIZERS = {
@@ -156,48 +170,17 @@ def _make_optimizer(name: str, args) -> object:
 # verify
 # ---------------------------------------------------------------------------
 
-def _report_dict(report: eq.VerificationReport) -> dict:
-    return {
-        "claim": report.claim,
-        "instances": report.instances,
-        "max_abs_error": report.max_abs_error,
-        "threshold": report.threshold,
-        "pass": report.passed,
-        "witness_seed": report.witness_seed,
-    }
-
-
 def cmd_verify(args) -> int:
     cfg = eq.InstanceConfig(args.dim, args.tokens, args.heads, args.rho,
                             args.lr, args.temp)
-    runners = {
-        "softmax-gd": lambda: eq.verify_softmax_gd(cfg, args.instances, args.seed,
-                                                   args.break_tying),
-        "linear-gd": lambda: eq.verify_linear_gd(cfg, args.instances, args.seed,
-                                                 args.break_tying),
-        "multihead-gd": lambda: eq.verify_multihead_gd(cfg, args.instances,
-                                                       args.seed, args.break_tying),
-        "boltzmann-optimality": lambda: eq.boltzmann_suite(
-            cfg, max(1, args.instances // 20), args.seed),
-        "hessian-structure": lambda: eq.verify_hessian_structure(
-            cfg, args.instances, args.seed),
-    }
-    names = list(runners) if args.which == "all" else [args.which]
-    reports = [runners[name]() for name in names]
-
+    names = eq.CLAIMS if args.which == "all" else [args.which]
+    reports = [eq.VERIFIERS[name](cfg, args.instances, args.seed, args.break_tying)
+               for name in names]
     config = _config_from(args, ["which", "seed", "dim", "tokens", "heads",
                                  "rho", "temp", "lr", "instances", "format"])
-    results = [_report_dict(r) for r in reports]
-    if args.format == "json":
-        text = _json_doc("verify", config, {"results": results})
-    else:
-        header = "claim,instances,max_abs_error,threshold,pass,witness_seed"
-        rows = [f"{r['claim']},{r['instances']},{r['max_abs_error']:.17g},"
-                f"{r['threshold']:.17g},{str(r['pass']).lower()},"
-                f"{'' if r['witness_seed'] is None else r['witness_seed']}"
-                for r in results]
-        text = _csv(config, header, rows)
-    _write_text(args.out, text)
+    rows = [(r.claim, r.instances, r.max_abs_error, r.threshold, r.passed,
+             r.witness_seed) for r in reports]
+    _write(args, "verify", config, VERIFY_HEADER, rows, records="results")
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -215,15 +198,8 @@ def cmd_descend(args) -> int:
     config = _config_from(args, ["energy", "optimizer", "dim", "tokens", "heads",
                                  "lr", "beta", "steps", "tol", "seed", "format"])
     config["stop_reason"] = trace.stop_reason
-    rows = [f"{k},{e:.17g},{g:.17g}" for k, e, g in trace.rows()]
-    if args.format == "json":
-        text = _json_doc("descend", config, {
-            "stop_reason": trace.stop_reason,
-            "steps": [{"step": k, "energy": e, "grad_norm": g}
-                      for k, e, g in trace.rows()]})
-    else:
-        text = _csv(config, DESCEND_HEADER, rows)
-    _write_text(args.out, text)
+    _write(args, "descend", config, DESCEND_HEADER, trace.rows(), records="steps",
+           payload={"stop_reason": trace.stop_reason})
     return 0
 
 
@@ -251,14 +227,7 @@ def cmd_compare(args) -> int:
     config = _config_from(args, ["energy", "optimizers", "dim", "tokens", "heads",
                                  "lr", "beta", "steps", "tol", "seed", "seeds",
                                  "format"])
-    if args.format == "json":
-        text = _json_doc("compare", config, {"rows": [
-            {"seed": s, "optimizer": o, "iters_to_tol": i, "final_energy": f}
-            for s, o, i, f in rows]})
-    else:
-        text = _csv(config, COMPARE_HEADER,
-                    [f"{s},{o},{i},{f:.17g}" for s, o, i, f in rows])
-    _write_text(args.out, text)
+    _write(args, "compare", config, COMPARE_HEADER, rows, records="rows")
     return 0
 
 
@@ -269,12 +238,7 @@ def cmd_compare(args) -> int:
 def cmd_loop(args) -> int:
     rng = nk.Rng(args.seed)
     weight = rng.normal_matrix(args.dim, args.dim, 1.0 / math.sqrt(args.dim))
-    if args.energy == "elastic":
-        spec = en.elastic_spec(weight, args.temp)
-    elif args.energy == "inner":
-        spec = en.inner_product_spec(weight, args.temp)
-    else:
-        raise UsageError("loop energies are elastic or inner")
+    spec = _SPECS[args.energy](weight, args.temp)
     config = _config_from(args, ["mode", "iters", "causal", "energy", "dim",
                                  "tokens", "samples", "epochs", "classes",
                                  "lr", "temp", "seed", "format"])
@@ -286,14 +250,9 @@ def cmd_loop(args) -> int:
         cfg = ls.LoopConfig(spec, args.iters, args.lr, causal=args.causal)
         trace = ls.loop_forward(cfg, token_mat)
         config["stop_reason"] = trace.stop_reason
-        rows = [f"{k},{obj:.17g}" for k, obj in enumerate(trace.objectives)]
-        if args.format == "json":
-            text = _json_doc("loop", config, {
-                "stop_reason": trace.stop_reason,
-                "objectives": list(trace.objectives)})
-        else:
-            text = _csv(config, LOOP_HEADER, rows)
-        _write_text(args.out, text)
+        _write(args, "loop", config, LOOP_HEADER, enumerate(trace.objectives),
+               payload={"stop_reason": trace.stop_reason,
+                        "objectives": list(trace.objectives)})
         return 0
 
     # training modes
@@ -317,19 +276,10 @@ def cmd_loop(args) -> int:
     else:
         raise UsageError(f"unknown mode {args.mode!r}")
     config["stop_reason"] = trace.stop_reason
-    rows = [f"{r.epoch},{r.cross_entropy:.17g},{r.free_energy:.17g},"
-            f"{r.total:.17g},{r.weight_norm:.17g},{r.head_norm:.17g}"
-            for r in trace.epochs]
-    if args.format == "json":
-        text = _json_doc("loop", config, {
-            "stop_reason": trace.stop_reason,
-            "epochs": [{"epoch": r.epoch, "cross_entropy": r.cross_entropy,
-                        "free_energy": r.free_energy, "total": r.total,
-                        "weight_norm": r.weight_norm, "head_norm": r.head_norm}
-                       for r in trace.epochs]})
-    else:
-        text = _csv(config, TRAIN_HEADER, rows)
-    _write_text(args.out, text)
+    rows = [(r.epoch, r.cross_entropy, r.free_energy, r.total, r.weight_norm,
+             r.head_norm) for r in trace.epochs]
+    _write(args, "loop", config, TRAIN_HEADER, rows, records="epochs",
+           payload={"stop_reason": trace.stop_reason})
     return 0
 
 
@@ -403,16 +353,13 @@ def cmd_bench(args) -> int:
                             args.reps, args.seed)
     config = _config_from(args, ["variant", "dim", "heads", "tokens_list",
                                  "reps", "seed", "format"])
-    csv_rows = [f"{r['variant']},{r['N']},{r['d']},{r['H']},"
-                f"{r['median_ns']:.0f},{r['per_token_ns']:.3f}" for r in rows]
+    csv_rows = [(r["variant"], r["N"], r["d"], r["H"], f"{r['median_ns']:.0f}",
+                 f"{r['per_token_ns']:.3f}") for r in rows]
     if slope is not None:
-        csv_rows.append(f"{args.variant},slope,{args.dim},{args.heads},"
-                        f"{slope:.6f},")
-    if args.format == "json":
-        text = _json_doc("bench", config, {"rows": rows, "loglog_slope": slope})
-    else:
-        text = _csv(config, BENCH_HEADER, csv_rows)
-    _write_text(args.out, text)
+        csv_rows.append((args.variant, "slope", args.dim, args.heads,
+                         f"{slope:.6f}", None))
+    _write(args, "bench", config, BENCH_HEADER, csv_rows,
+           payload={"rows": rows, "loglog_slope": slope})
     return 0
 
 
@@ -432,15 +379,10 @@ def cmd_spectrum(args) -> int:
     nsd_eigs = nk.sym_eigvals(nsd)
     config = _config_from(args, ["energy", "dim", "tokens", "heads", "temp",
                                  "seed", "format"])
-    rows = [f"{i},{full[i]:.17g},{psd_eigs[i]:.17g},{nsd_eigs[i]:.17g}"
-            for i in range(args.dim)]
-    if args.format == "json":
-        text = _json_doc("spectrum", config, {
-            "full_hessian": full.tolist(), "psd_part": psd_eigs.tolist(),
-            "nsd_part": nsd_eigs.tolist()})
-    else:
-        text = _csv(config, SPECTRUM_HEADER, rows)
-    _write_text(args.out, text)
+    columns = {"full_hessian": full.tolist(), "psd_part": psd_eigs.tolist(),
+               "nsd_part": nsd_eigs.tolist()}
+    _write(args, "spectrum", config, SPECTRUM_HEADER,
+           zip(range(args.dim), *columns.values()), payload=columns)
     return 0
 
 

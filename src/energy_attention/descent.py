@@ -59,6 +59,8 @@ class NewtonSubspace:
 
 
 def _validate(opt) -> None:
+    if not isinstance(opt, (Vanilla, Momentum, Nag, NewtonSubspace)):
+        raise ValueError(f"unknown optimizer {type(opt).__name__}")
     if not (math.isfinite(opt.eta) and opt.eta > 0.0):
         raise ValueError("learning rate must be finite and > 0")
     beta = getattr(opt, "beta", 0.0)
@@ -172,32 +174,25 @@ def descend(spec: en.EnergySpec, optimizer, z0: np.ndarray, tokens: np.ndarray,
         metadata["stop_reason"] = "converged"
         return DescentTrace(steps, metadata)
 
+    # heavy ball: vanilla is beta = 0; Nesterov takes its gradient where the
+    # momentum step is about to land
     momentum = np.zeros_like(z)
-    beta = getattr(optimizer, "beta", 0.0)
+    eta, beta = optimizer.eta, getattr(optimizer, "beta", 0.0)
+    lookahead = isinstance(optimizer, Nag) and beta != 0.0
     # overflow on a diverging run is detected and reported, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, max_iters + 1):
-            if isinstance(optimizer, Vanilla):
-                z = z - optimizer.eta * grad
-            elif isinstance(optimizer, Momentum):
-                momentum = grad if beta == 0.0 else beta * momentum + grad
-                z = z - optimizer.eta * momentum
-            elif isinstance(optimizer, Nag):
-                ahead = (z if beta == 0.0
-                         else z - optimizer.eta * beta * momentum)
-                ahead_grad = core.measure(ahead)[1]
-                momentum = (ahead_grad if beta == 0.0
-                            else beta * momentum + ahead_grad)
-                z = z - optimizer.eta * momentum
-            elif isinstance(optimizer, NewtonSubspace):
+            if isinstance(optimizer, NewtonSubspace):
                 try:
-                    z = z - optimizer.eta * newton(z, weights)
+                    z = z - eta * newton(z, weights)
                 except ValueError:
                     metadata["stop_reason"] = "singular"
                     break
             else:
-                raise ValueError(
-                    f"unknown optimizer {type(optimizer).__name__}")
+                if lookahead:
+                    grad = core.measure(z - eta * beta * momentum)[1]
+                momentum = grad if beta == 0.0 else beta * momentum + grad
+                z = z - eta * momentum
             if project_radius is not None:
                 norm = float(np.linalg.norm(z))
                 if norm > 0.0:

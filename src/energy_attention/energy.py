@@ -8,7 +8,7 @@ token matrix (d x N, one token per column) explicitly and returns plain
 floats/arrays. One private core computes every energy, Boltzmann weight,
 log-partition and query gradient of every kind, for one query or a masked
 d x Q block; the operations are short calls into it (and reject a
-non-finite query), one formula gives every single-head map gradient, and
+non-finite or mis-shaped query or token matrix), one formula gives every single-head map gradient, and
 ``gradient_engine`` keeps one core for iterations: it accepts every kind and
 checks its prefix limits for both call forms.
 ``newton_step`` is the per-head Newton step of the elastic free energy, all
@@ -363,11 +363,12 @@ def newton_step(queries: np.ndarray, keys: np.ndarray, weights: np.ndarray,
     return np.matmul(inverse, offsets[:, :, None])[:, :, 0]
 
 
-def _query(z: np.ndarray) -> np.ndarray:
-    """An operation's query point, which must be finite."""
-    if not np.isfinite(z).all():
-        raise ValueError("query has non-finite entries")
-    return z
+def _inputs(spec: EnergySpec, z, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """An operation's query point and tokens as float arrays, checked
+    against the spec's dimensions: a finite length-d vector and a finite
+    d_token x N matrix with N >= 1; anything else raises ``ValueError``."""
+    dim, token_dim = _pair_dims(spec.pair)
+    return nk.as_query(z, dim), nk.as_tokens(tokens, token_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +377,8 @@ def _query(z: np.ndarray) -> np.ndarray:
 
 def pair_energies(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """All pair energies: shape (N,) single-head, (H, N) per-head."""
-    return _Core(spec, tokens).energies(_query(z))
+    z, tokens = _inputs(spec, z, tokens)
+    return _Core(spec, tokens).energies(z)
 
 
 def pair_energy(spec: EnergySpec, z: np.ndarray, token: np.ndarray,
@@ -384,12 +386,13 @@ def pair_energy(spec: EnergySpec, z: np.ndarray, token: np.ndarray,
     """Energy of the interaction between ``z`` and one token, in one head."""
     if not 0 <= head < spec.heads:
         raise ValueError(f"head {head} outside [0, {spec.heads})")
-    return float(pair_energies(spec, z, token.reshape(-1, 1)).reshape(-1)[head])
+    return float(pair_energies(spec, z, np.reshape(token, (-1, 1))).reshape(-1)[head])
 
 
 def boltzmann_weights(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """Free-energy-minimizing weights softmax(-E/T), per head if applicable."""
-    return _Core(spec, tokens).boltzmann(_query(z))[0]
+    z, tokens = _inputs(spec, z, tokens)
+    return _Core(spec, tokens).boltzmann(z)[0]
 
 
 def free_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
@@ -419,7 +422,8 @@ def free_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
 
 def helmholtz_free_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> float:
     """Minimum free energy -T log Z; per-head mean in the multi-head case."""
-    lse = _Core(spec, tokens).boltzmann(_query(z))[1]
+    z, tokens = _inputs(spec, z, tokens)
+    lse = _Core(spec, tokens).boltzmann(z)[1]
     return float((-spec.temperature * lse).sum() / spec.heads)
 
 
@@ -442,7 +446,8 @@ def square_sum_energy(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> fl
 
 def energy_value(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> float:
     """The scalar objective the configuration's global energy selects."""
-    return float(_Core(spec, tokens).value(_query(z))[0])
+    z, tokens = _inputs(spec, z, tokens)
+    return float(_Core(spec, tokens).value(z)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +460,13 @@ def grad_z(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
 
     See the module docstring for the ``strict`` / ``tied`` conventions.
     """
-    return _Core(spec, tokens, convention).evaluate(_query(z))[1]
+    z, tokens = _inputs(spec, z, tokens)
+    return _Core(spec, tokens, convention).evaluate(z)[1]
 
 
 def grad_weight(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> np.ndarray:
     """Gradient of the single-head Helmholtz energy in the pair-energy map W."""
-    return _map_grad(spec, _query(z), tokens)
+    return _map_grad(spec, *_inputs(spec, z, tokens))
 
 
 def _map_grad(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray,
@@ -517,9 +523,10 @@ def hessian_split(spec: EnergySpec, z: np.ndarray,
         raise ValueError("Hessian is defined for the Helmholtz form only")
     if isinstance(spec.pair, KernelInner):
         raise ValueError("Hessian is not available for this pair energy")
+    z, tokens = _inputs(spec, z, tokens)
     core = _Core(spec, tokens)
     d, heads = z.shape[0], spec.heads
-    weights = core.boltzmann(_query(z))[0].reshape(heads, -1)
+    weights = core.boltzmann(z)[0].reshape(heads, -1)
     means = np.sum(core.keys.reshape(d, heads, -1) * weights, axis=-1)  # d x H
     second = (core.keys * weights.ravel()) @ core.keys.T
     nsd = (means @ means.T - second) / (spec.temperature * heads)
@@ -552,6 +559,7 @@ def stationary_point(spec: EnergySpec, z0: np.ndarray, tokens: np.ndarray,
     """
     if not isinstance(spec.pair, (Elastic, PerHeadElastic)):
         raise ValueError("stationary points are defined for elastic energies")
+    z0, tokens = _inputs(spec, z0, tokens)
     core = _Core(spec, tokens)
     gram_inv = None
     if core.per_head:
@@ -560,7 +568,7 @@ def stationary_point(spec: EnergySpec, z0: np.ndarray, tokens: np.ndarray,
         except ValueError:
             return None
 
-    z = _query(z0).copy()
+    z = z0.copy()
     for _ in range(max_iters):
         pulled = core.keys @ core.boltzmann(z)[0].ravel() / spec.heads
         if gram_inv is not None:

@@ -294,5 +294,7 @@ def loop_alternating_optimize(cfg: LoopConfig, dataset, epochs: int,
                  for t, mask, (_, labels) in zip(traces, masks, dataset)],
                 any(t.stop_reason == "diverged" for t in traces))
 
-    return _alternate(cfg, forwards(cfg.spec)[0], epochs, eta,
-                      lambda spec, _: forwards(spec))
+    # the initial map's forwards give record 0 and also epoch 1's blocks
+    first, diverged = forwards(cfg.spec)
+    return _alternate(cfg, first, epochs, eta, lambda spec, blocks: (
+        (blocks, diverged) if spec is cfg.spec else forwards(spec)))

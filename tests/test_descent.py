@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -237,6 +238,18 @@ def test_optimizer_validation():
     with pytest.raises(ValueError):
         de.descend(en.elastic_spec(np.eye(2), 1.0), de.NewtonSubspace(mode="pade"),
                    np.zeros(2), np.ones((2, 1)))
+
+    # an unknown optimizer type fails before step 0, even at a start point
+    # that already meets the tolerance
+    @dataclass(frozen=True)
+    class Adam:
+        eta: float
+
+        label = "adam"
+
+    with pytest.raises(ValueError, match="unknown optimizer Adam"):
+        de.descend(en.elastic_spec(np.eye(2), 1.0), Adam(0.1), np.ones(2),
+                   np.ones((2, 1)))
 
 
 @pytest.mark.parametrize("optimizer, kwargs, message", [

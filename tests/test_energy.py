@@ -697,14 +697,41 @@ def test_queries_checked_by_operations_not_by_the_engine():
     rng = nk.Rng(54)
     tokens = rng.normal_matrix(8, 5)
     z = rng.normal_vector(8)
-    z[3] = np.nan
+    nan_z = np.where(np.arange(8) == 3, np.nan, z)
+    nan_tokens = np.where(np.arange(5) == 4, np.nan, tokens)
+    bad_inputs = [
+        (nan_z, tokens, "query has non-finite"),
+        (z[:7], tokens, "query must be a length-8 vector"),
+        (z, nan_tokens, "tokens have non-finite"),
+        (z, tokens[:7], "tokens must be a 8 x N matrix"),
+        (z, tokens[:, :0], "tokens must be a 8 x N matrix"),
+        (z, tokens[:, 0], "tokens must be a 8 x N matrix"),
+    ]
+    ops = (en.pair_energies, en.boltzmann_weights, en.helmholtz_free_energy,
+           en.upper_bound_energy, en.energy_value, en.grad_z, en.grad_weight,
+           en.hessian_split, en.hessian_z, en.stationary_point,
+           lambda spec, z, tokens: en.free_energy(spec, z, tokens, np.full(5, 0.2)))
+    covered = set()
     for spec in _engine_specs(55, 5).values():
-        for op in (en.pair_energies, en.energy_value, en.grad_z):
-            with pytest.raises(ValueError, match="non-finite"):
+        for op in ops:
+            try:
                 op(spec, z, tokens)
+            except ValueError:
+                continue  # the operation is not defined for this kind
+            covered.add(op)
+            for bad_z, bad_tokens, message in bad_inputs:
+                with pytest.raises(ValueError, match=message):
+                    op(spec, bad_z, bad_tokens)
         # a diverging iteration must see its non-finite energy, not an error
-        values, grads = en.gradient_engine(spec, tokens)(np.stack([z, z], axis=1))
+        values, grads = en.gradient_engine(spec, tokens)(np.stack([nan_z, nan_z], axis=1))
         assert not np.any(np.isfinite(values))
+    assert covered == set(ops)
+    # one token, as a list too, goes through the same check
+    spec = en.elastic_spec(np.eye(8), 1.0)
+    assert en.pair_energy(spec, list(z), list(tokens[:, 0])) == \
+        en.pair_energies(spec, z, tokens[:, :1])[0]
+    with pytest.raises(ValueError, match="tokens must be a 8 x N matrix"):
+        en.pair_energy(spec, z, list(tokens[:7, 0]))
 
 
 # ---------------------------------------------------------------------------

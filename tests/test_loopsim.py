@@ -400,6 +400,30 @@ def test_loop_alternating_runs_and_improves():
     assert trace.epochs[-1].cross_entropy < trace.epochs[0].cross_entropy
 
 
+def test_loop_training_runs_each_forward_once(monkeypatch):
+    # the initial map's forwards give record 0 and epoch 1's blocks, so
+    # each sample is run once per epoch (once with no epoch at all)
+    cfg, rng = _training_config(5, iterations=2)
+    data = _sequences(ls.two_cluster_dataset(rng, 2, 4, 8))
+    calls = []
+    forward = ls.loop_forward
+    monkeypatch.setattr(ls, "loop_forward",
+                        lambda *args: calls.append(args) or forward(*args))
+    for epochs in (0, 1, 3):
+        calls.clear()
+        trace = ls.loop_alternating_optimize(cfg, data, epochs)
+        assert trace.stop_reason == "completed"
+        assert len(trace.epochs) == epochs + 1
+        assert len(calls) == len(data) * max(epochs, 1)
+    # an initial forward that diverges still stops training at epoch 1
+    calls.clear()
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = ls.loop_alternating_optimize(cfg, data, 3, eta=1e200)
+        assert any(forward(*args).stop_reason == "diverged" for args in calls)
+    assert trace.stop_reason == "diverged"
+    assert len(trace.epochs) == 1 and len(calls) == len(data)
+
+
 def test_two_cluster_dataset_shapes():
     data = ls.two_cluster_dataset(nk.Rng(4), 3, 5, 8, radius=2.0)
     assert len(data) == 6

@@ -1,13 +1,17 @@
 """Seeded outputs pinned at values recorded before the energy core replaced
-the separate op-level and engine implementations, and training outputs
-recorded before both trainers shared one epoch loop (``training_pins.json``).
+the separate op-level and engine implementations, training outputs
+recorded before both trainers shared one epoch loop (``training_pins.json``),
+and whole CLI outputs, CSV and JSON, recorded before every subcommand wrote
+through one writer (``cli_pins.json``).
 
 Iteration counts, stop reasons and witness seeds must not move; final
 energies may move only at the float-reassociation level.
 """
 
+import itertools
 import json
 import math
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,7 @@ from energy_attention import loopsim as ls
 from energy_attention import numkit as nk
 
 PINS = json.loads((Path(__file__).parent / "training_pins.json").read_text())
+CLI_PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 
 
 def _check_rows(rows, expected):
@@ -122,3 +127,60 @@ def test_loop_training_csv_rows(pin, tmp_path):
     got = [[float(v) for v in row.split(",")] for row in rows]
     assert [row[0] for row in got] == [row[0] for row in pin["rows"]]
     np.testing.assert_allclose(got, pin["rows"], rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# whole CLI outputs
+# ---------------------------------------------------------------------------
+
+# CSV columns holding floats; every other cell must match exactly
+FLOAT_COLUMNS = {"max_abs_error", "threshold", "energy", "grad_norm",
+                 "final_energy", "objective", "cross_entropy", "free_energy",
+                 "total", "weight_norm", "head_norm", "full_hessian",
+                 "psd_part", "nsd_part", "median_ns", "per-token_ns"}
+
+
+def _same_json(got, want, where="$"):
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(want, rel=1e-12, abs=0), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            _same_json(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same_json(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def _same_csv(got, want):
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert got_lines[:2] == want_lines[:2]  # config line and header
+    assert len(got_lines) == len(want_lines)
+    header = want_lines[1].split(",")
+    for got_row, want_row in zip(got_lines[2:], want_lines[2:]):
+        got_cells, want_cells = got_row.split(","), want_row.split(",")
+        assert len(got_cells) == len(want_cells) == len(header), want_row
+        for name, g, w in zip(header, got_cells, want_cells):
+            if g != w:
+                assert name in FLOAT_COLUMNS, (name, want_row)
+                assert float(g) == pytest.approx(float(w), rel=1e-12, abs=0), \
+                    (name, want_row)
+
+
+@pytest.mark.parametrize("pin", CLI_PINS, ids=lambda p: " ".join(p["args"]))
+def test_cli_output_matches_pin(pin, tmp_path, monkeypatch):
+    # bench reads a fake clock, so its timings are part of the pin
+    ticks = itertools.count()
+    monkeypatch.setattr(time, "perf_counter_ns", lambda: 1000 * next(ticks) ** 2)
+    out = tmp_path / "out"
+    assert cli.main([*pin["args"], "--out", str(out)]) == pin["exit"]
+    text = out.read_text()
+    assert text.endswith("\n")
+    if pin["args"][-1] == "json":
+        _same_json(json.loads(text), json.loads(pin["text"]))
+    else:
+        _same_csv(text, pin["text"])
