@@ -106,15 +106,13 @@ class AttentionParams:
     bias_temps = cached_property(lambda self: np.array(self.bias_temp)[:, None])
 
 
-def single_head_params(w_query, w_key, w_value, temperature: float,
-                       eta: float = 1.0, beta: float = 0.9) -> AttentionParams:
+def single_head_params(w_query, w_key, w_value, temperature: float) -> AttentionParams:
     """Square single-head container (d x d maps, identity output projection)."""
     wq = nk.as_matrix(w_query)
     return AttentionParams(
         w_query=(wq,), w_key=(nk.as_matrix(w_key),),
         w_value=(nk.as_matrix(w_value),), w_out=(np.eye(wq.shape[0]),),
-        score_temp=(temperature,), bias_temp=(temperature,),
-        beta=beta, eta=eta)
+        score_temp=(temperature,), bias_temp=(temperature,))
 
 
 def default_score_temperature(head_dim: int, scores: str) -> float:
@@ -127,10 +125,9 @@ def default_score_temperature(head_dim: int, scores: str) -> float:
     raise ValueError(f"unknown score family {scores!r}")
 
 
-def random_params(rng: nk.Rng, dim: int, heads: int, scores: str = "inner",
-                  beta: float = 0.9, eta: float = 1.0,
-                  tau: float = 0.01) -> AttentionParams:
-    """Gaussian projections scaled 1/sqrt(dim) with standard scalar inits."""
+def random_params(rng: nk.Rng, dim: int, heads: int,
+                  scores: str = "inner") -> AttentionParams:
+    """Gaussian projections scaled 1/sqrt(dim) with the default scalars."""
     if dim % heads != 0:
         raise ValueError("heads must divide the token dimension")
     head_dim = dim // heads
@@ -143,8 +140,7 @@ def random_params(rng: nk.Rng, dim: int, heads: int, scores: str = "inner",
     return AttentionParams(
         w_query=draw(), w_key=draw(), w_value=draw(),
         w_out=tuple(rng.normal_matrix(dim, head_dim, scale) for _ in range(heads)),
-        score_temp=(temp,) * heads, bias_temp=(temp,) * heads,
-        beta=beta, eta=eta, tau=(tau,) * heads)
+        score_temp=(temp,) * heads, bias_temp=(temp,) * heads)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,12 +253,7 @@ def momen_mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
     p' = beta p - (mha(z) - z), output z - eta p'. With zero momentum and
     eta = 1 this reduces to the plain forward.
     """
-    z, tokens = _inputs(params, z, tokens)
-    if state.momentum.shape != z.shape:
-        raise ValueError("momentum state dimension mismatch")
-    grad_proxy = -(_mha(params, z, tokens) - z)
-    new_p = grad_proxy if params.beta == 0.0 else params.beta * state.momentum + grad_proxy
-    return z - params.eta * new_p, MomentumState(new_p)
+    return _momentum(params, z, tokens, state, lookahead=False)
 
 
 def nag_mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
@@ -274,14 +265,23 @@ def nag_mha(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
     z - eta p'. With zero momentum and eta = 1 this reduces to the plain
     forward.
     """
+    return _momentum(params, z, tokens, state, lookahead=True)
+
+
+def _momentum(params: AttentionParams, z, tokens, state: MomentumState,
+              lookahead: bool) -> tuple[np.ndarray, MomentumState]:
+    """The recurrence of ``momen_mha`` and, with ``lookahead``, ``nag_mha``;
+    a momentum that is not a finite length-d vector raises ``ValueError``."""
     z, tokens = _inputs(params, z, tokens)
-    if state.momentum.shape != z.shape:
+    momentum, beta, eta = state.momentum, params.beta, params.eta
+    if momentum.shape != z.shape:
         raise ValueError("momentum state dimension mismatch")
-    ahead = (z if params.beta == 0.0
-             else z - params.eta * params.beta * state.momentum)
+    if not np.isfinite(momentum).all():
+        raise ValueError("momentum state has non-finite entries")
+    ahead = z - eta * beta * momentum if lookahead and beta != 0.0 else z
     grad_proxy = -(_mha(params, ahead, tokens) - ahead)
-    new_p = grad_proxy if params.beta == 0.0 else params.beta * state.momentum + grad_proxy
-    return z - params.eta * new_p, MomentumState(new_p)
+    new_p = grad_proxy if beta == 0.0 else beta * momentum + grad_proxy
+    return z - eta * new_p, MomentumState(new_p)
 
 
 # ---------------------------------------------------------------------------

@@ -132,13 +132,13 @@ _PER_HEAD_SPECS = {"elastic": en.per_head_elastic_spec,
 
 
 def _random_instance(rng: nk.Rng, energy_kind: str, dim: int, tokens_n: int,
-                     heads: int, temperature: float, radius: float = 1.0):
+                     heads: int, temperature: float):
     """Random (spec, z0, tokens) for descent-style commands."""
     if heads > 1 and energy_kind not in _PER_HEAD_SPECS:
         raise UsageError(f"{energy_kind} energy is single-head only")
-    z = nk.sample_hypersphere(rng, dim, radius)
+    z = nk.sample_hypersphere(rng, dim, 1.0)
     token_mat = np.stack(
-        [nk.sample_hypersphere(rng, dim, radius) for _ in range(tokens_n)], axis=1)
+        [nk.sample_hypersphere(rng, dim, 1.0) for _ in range(tokens_n)], axis=1)
     if heads == 1:
         weight = rng.normal_matrix(dim, dim, 1.0 / math.sqrt(dim))
         return _SPECS[energy_kind](weight, temperature), z, token_mat
@@ -265,14 +265,14 @@ def cmd_loop(args) -> int:
     if args.mode == "train-single":
         dataset = ls.two_cluster_dataset(rng, args.samples // 2, args.tokens,
                                          args.dim)
-        trace = ls.alternating_optimize(cfg, dataset, args.epochs, args.lr)
+        trace = ls.alternating_optimize(cfg, dataset, args.epochs)
     elif args.mode == "train-loop":
         dataset = []
         for tokens, label in ls.two_cluster_dataset(rng, args.samples // 2,
                                                     args.tokens, args.dim):
             labels = np.tile(label[:, None], (1, tokens.shape[1]))
             dataset.append((tokens, labels))
-        trace = ls.loop_alternating_optimize(cfg, dataset, args.epochs, args.lr)
+        trace = ls.loop_alternating_optimize(cfg, dataset, args.epochs)
     else:
         raise UsageError(f"unknown mode {args.mode!r}")
     config["stop_reason"] = trace.stop_reason
@@ -303,8 +303,8 @@ def _bench_forward(variant: str, params, cache):
 
 
 def run_bench(variant: str, dim: int, heads: int, tokens_list: list[int],
-              reps: int, seed: int, warmup: int = 3) -> tuple[list[dict], float | None]:
-    """Median wall-time per forward call over ``reps`` runs after warmup.
+              reps: int, seed: int) -> tuple[list[dict], float | None]:
+    """Median wall-time per forward call over ``reps`` runs after 3 warmups.
 
     Returns per-N rows and the least-squares log-log slope of median time
     versus N (None when fewer than two sizes are measured).
@@ -318,7 +318,7 @@ def run_bench(variant: str, dim: int, heads: int, tokens_list: list[int],
     pool = rng.normal_matrix(dim, max(tokens_list), 1.0 / math.sqrt(dim))
     token_sets = [np.ascontiguousarray(pool[:, :n]) for n in tokens_list]
     for tokens in token_sets:
-        for _ in range(warmup):
+        for _ in range(3):
             forward(z, tokens)
     # blocks of same-N calls (warm caches), blocks interleaved across sizes
     # so machine-load drift spreads over all N instead of biasing one point

@@ -145,9 +145,7 @@ def descend(spec: en.EnergySpec, optimizer, z0: np.ndarray, tokens: np.ndarray,
     _validate(optimizer)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tolerance must be finite and > 0")
-    dim, token_dim = en._pair_dims(spec.pair)
-    z = nk.as_query(z0, dim).copy()
-    tokens = nk.as_tokens(tokens, token_dim)
+    z, tokens = en._inputs(spec, z0, tokens)
     # one core per descent; each iterate's evaluation also yields the
     # Boltzmann weights the Newton bracket needs
     core = en._Core(spec, tokens, convention)
@@ -230,8 +228,7 @@ def monotone_descend(spec: en.EnergySpec, z0: np.ndarray, tokens: np.ndarray,
 
 
 def compare_optimizers(spec: en.EnergySpec, z0: np.ndarray, tokens: np.ndarray,
-                       optimizers, budget: int, tol: float,
-                       convention: str = "strict") -> list[dict]:
+                       optimizers, budget: int, tol: float) -> list[dict]:
     """Run each optimizer from the same start; one summary row per optimizer.
 
     ``iters_to_tol`` is the first step whose gradient norm is below ``tol``,
@@ -240,8 +237,7 @@ def compare_optimizers(spec: en.EnergySpec, z0: np.ndarray, tokens: np.ndarray,
     """
     rows = []
     for opt in optimizers:
-        trace = descend(spec, opt, z0, tokens, max_iters=budget, tol=tol,
-                        convention=convention)
+        trace = descend(spec, opt, z0, tokens, max_iters=budget, tol=tol)
         iters = trace.iters_to_tol(tol)
         rows.append({
             "optimizer": opt.label,
@@ -254,7 +250,7 @@ def compare_optimizers(spec: en.EnergySpec, z0: np.ndarray, tokens: np.ndarray,
 
 
 def conditioned_multihead_instance(seed: int, dim: int, tokens: int, heads: int,
-                                   temperature: float = 1.0, radius: float = 1.0
+                                   temperature: float = 1.0
                                    ) -> tuple[en.EnergySpec, np.ndarray, np.ndarray]:
     """Per-head elastic instance with orthonormal block-diagonal maps.
 
@@ -280,7 +276,7 @@ def conditioned_multihead_instance(seed: int, dim: int, tokens: int, heads: int,
 
     spec = en.per_head_elastic_spec(block_diag_rows(), block_diag_rows(),
                                     temperature)
-    z0 = nk.sample_hypersphere(rng, dim, radius)
+    z0 = nk.sample_hypersphere(rng, dim, 1.0)
     token_mat = np.stack(
-        [nk.sample_hypersphere(rng, dim, radius) for _ in range(tokens)], axis=1)
+        [nk.sample_hypersphere(rng, dim, 1.0) for _ in range(tokens)], axis=1)
     return spec, z0, token_mat

@@ -111,17 +111,10 @@ class WeightedSquareSum:
 class EnergySpec:
     pair: object
     global_energy: object
-    heads: int = 1
 
     def __post_init__(self):
-        if isinstance(self.pair, (PerHeadElastic, PerHeadInner)):
-            n_pairs = len(self.pair.w_query)
-            if n_pairs != len(self.pair.w_key):
-                raise ValueError("per-head weight lists differ in length")
-            if self.heads != n_pairs:
-                raise ValueError("heads must equal the number of per-head weight pairs")
-        elif self.heads != 1:
-            raise ValueError("single-head pair energies require heads=1")
+        if self.per_head and not 0 < len(self.pair.w_query) == len(self.pair.w_key):
+            raise ValueError("per-head weight lists must be nonempty and equally long")
         if not (np.isfinite(self.temperature) and self.temperature > 0.0):
             raise ValueError("temperature must be finite and > 0")
         g = self.global_energy
@@ -136,6 +129,11 @@ class EnergySpec:
     @property
     def per_head(self) -> bool:
         return isinstance(self.pair, (PerHeadElastic, PerHeadInner))
+
+    @property
+    def heads(self) -> int:
+        """The number of per-head weight pairs, 1 for a single-head pair."""
+        return len(self.pair.w_query) if self.per_head else 1
 
 
 def elastic_spec(weight, temperature: float) -> EnergySpec:
@@ -158,13 +156,13 @@ def kernel_spec(w_query, w_key, temperature: float,
 def per_head_elastic_spec(w_query, w_key, temperature: float) -> EnergySpec:
     wq = tuple(nk.as_matrix(w) for w in w_query)
     wk = tuple(nk.as_matrix(w) for w in w_key)
-    return EnergySpec(PerHeadElastic(wq, wk), Helmholtz(temperature), heads=len(wq))
+    return EnergySpec(PerHeadElastic(wq, wk), Helmholtz(temperature))
 
 
 def per_head_inner_spec(w_query, w_key, temperature: float) -> EnergySpec:
     wq = tuple(nk.as_matrix(w) for w in w_query)
     wk = tuple(nk.as_matrix(w) for w in w_key)
-    return EnergySpec(PerHeadInner(wq, wk), Helmholtz(temperature), heads=len(wq))
+    return EnergySpec(PerHeadInner(wq, wk), Helmholtz(temperature))
 
 
 def square_sum_spec(weight, temperature: float, gates=None) -> EnergySpec:
@@ -183,7 +181,7 @@ def upper_bound_spec(spec: EnergySpec) -> EnergySpec:
         return EnergySpec(InnerProduct(spec.pair.weight), spec.global_energy)
     if isinstance(spec.pair, PerHeadElastic):
         return EnergySpec(PerHeadInner(spec.pair.w_query, spec.pair.w_key),
-                          spec.global_energy, heads=spec.heads)
+                          spec.global_energy)
     if isinstance(spec.pair, (InnerProduct, PerHeadInner)):
         return spec
     raise ValueError("no inner-product counterpart for this pair energy")
@@ -546,16 +544,15 @@ def hessian_z(spec: EnergySpec, z: np.ndarray, tokens: np.ndarray) -> np.ndarray
 # stationary points
 # ---------------------------------------------------------------------------
 
-def stationary_point(spec: EnergySpec, z0: np.ndarray, tokens: np.ndarray,
-                     damping: float = 0.5, max_iters: int = 500,
-                     tol: float = 1e-10) -> np.ndarray | None:
+def stationary_point(spec: EnergySpec, z0: np.ndarray,
+                     tokens: np.ndarray) -> np.ndarray | None:
     """Interior stationary point of the elastic Helmholtz energy, or None.
 
     Damped fixed-point iteration on the first-order condition: the
-    full-space form iterates z <- (1-a) z + a * sum_i p_i(z) W h_i; the
+    full-space form iterates z <- z/2 + sum_i p_i(z) W h_i / 2; the
     per-head form solves the head-averaged Gram system for the same map.
-    The result is accepted only when the fixed-point residual is below
-    ``tol``.
+    The result is accepted only when the fixed-point residual falls below
+    1e-10 within 500 iterations.
     """
     if not isinstance(spec.pair, (Elastic, PerHeadElastic)):
         raise ValueError("stationary points are defined for elastic energies")
@@ -569,11 +566,11 @@ def stationary_point(spec: EnergySpec, z0: np.ndarray, tokens: np.ndarray,
             return None
 
     z = z0.copy()
-    for _ in range(max_iters):
+    for _ in range(500):
         pulled = core.keys @ core.boltzmann(z)[0].ravel() / spec.heads
         if gram_inv is not None:
             pulled = gram_inv @ pulled
-        if float(np.linalg.norm(z - pulled)) < tol:
+        if float(np.linalg.norm(z - pulled)) < 1e-10:
             return z
-        z = (1.0 - damping) * z + damping * pulled
+        z = 0.5 * z + 0.5 * pulled
     return None

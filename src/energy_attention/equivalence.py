@@ -235,46 +235,42 @@ def check_multihead_instance(inst: TiedInstance) -> float:
 # sweep verifiers
 # ---------------------------------------------------------------------------
 
-def verify_softmax_gd(cfg: InstanceConfig, instances: int, seed: int,
-                      break_tying: bool = False) -> VerificationReport:
+def _sweep(tying: str, heads: int, check, cfg: InstanceConfig, instances: int,
+           seed: int, break_tying: bool) -> VerificationReport:
+    """The ``<tying>-gd`` claim: the worst ``check(inst, rng)`` over the
+    instances of seeds seed + i, where ``rng`` built instance i."""
     worst, witness = 0.0, None
     for i in range(instances):
-        inst = make_tied_instance(nk.Rng(seed + i), "softmax", cfg.dim,
-                                  cfg.tokens, 1, cfg.radius, cfg.eta,
-                                  cfg.temperature, break_tying)
-        err = check_softmax_instance(inst)
+        rng = nk.Rng(seed + i)
+        inst = make_tied_instance(rng, tying, cfg.dim, cfg.tokens, heads,
+                                  cfg.radius, cfg.eta, cfg.temperature,
+                                  break_tying)
+        err = check(inst, rng)
         if err > worst:
             worst, witness = err, seed + i
-    return _report("softmax-gd", instances, worst, EQUIVALENCE_THRESHOLD, witness)
+    return _report(f"{tying}-gd", instances, worst, EQUIVALENCE_THRESHOLD, witness)
+
+
+def verify_softmax_gd(cfg: InstanceConfig, instances: int, seed: int,
+                      break_tying: bool = False) -> VerificationReport:
+    return _sweep("softmax", 1, lambda inst, rng: check_softmax_instance(inst),
+                  cfg, instances, seed, break_tying)
 
 
 def verify_linear_gd(cfg: InstanceConfig, instances: int, seed: int,
                      break_tying: bool = False) -> VerificationReport:
-    worst, witness = 0.0, None
-    for i in range(instances):
-        rng = nk.Rng(seed + i)
-        inst = make_tied_instance(rng, "linear", cfg.dim, cfg.tokens, 1,
-                                  cfg.radius, cfg.eta, cfg.temperature,
-                                  break_tying)
+    def check(inst, rng):
         gates = rng.uniforms(cfg.tokens)
-        err = max(check_linear_instance(inst),
-                  check_linear_instance(inst, gates))
-        if err > worst:
-            worst, witness = err, seed + i
-    return _report("linear-gd", instances, worst, EQUIVALENCE_THRESHOLD, witness)
+        return max(check_linear_instance(inst), check_linear_instance(inst, gates))
+
+    return _sweep("linear", 1, check, cfg, instances, seed, break_tying)
 
 
 def verify_multihead_gd(cfg: InstanceConfig, instances: int, seed: int,
                         break_tying: bool = False) -> VerificationReport:
-    worst, witness = 0.0, None
-    for i in range(instances):
-        inst = make_tied_instance(nk.Rng(seed + i), "multihead", cfg.dim,
-                                  cfg.tokens, cfg.heads, cfg.radius, cfg.eta,
-                                  cfg.temperature, break_tying)
-        err = check_multihead_instance(inst)
-        if err > worst:
-            worst, witness = err, seed + i
-    return _report("multihead-gd", instances, worst, EQUIVALENCE_THRESHOLD, witness)
+    return _sweep("multihead", cfg.heads,
+                  lambda inst, rng: check_multihead_instance(inst),
+                  cfg, instances, seed, break_tying)
 
 
 def _simplex_grid(resolution: float) -> np.ndarray:

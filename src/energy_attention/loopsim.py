@@ -18,7 +18,7 @@ log-softmax. Datasets are checked once, when training starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,9 +83,14 @@ def loop_forward(cfg: LoopConfig, tokens0: np.ndarray) -> LoopTrace:
     the matrix is replaced by the updated positions. The recorded objective
     is the summed per-position energy against the attended sets (the causal
     prefix including the position itself, or the whole matrix); the same
-    evaluation gives the gradients of the next step.
+    evaluation gives the gradients of the next step. Tokens that are not a
+    finite d x N matrix with N >= 1 raise ``ValueError``, as does a spec
+    whose query and token dimensions differ.
     """
-    tokens = nk.as_matrix(tokens0).copy()
+    dim, token_dim = en._pair_dims(cfg.spec.pair)
+    if dim != token_dim:
+        raise ValueError(f"loop query and token dimensions differ: {dim} != {token_dim}")
+    tokens = nk.as_tokens(tokens0, dim).copy()
     objective, grads = _total_energy(cfg, tokens)
     trace = LoopTrace([tokens.copy()], [objective])
     for _ in range(cfg.iterations):
@@ -126,17 +131,17 @@ def one_hot(label: int, classes: int) -> np.ndarray:
 
 
 def two_cluster_dataset(rng: nk.Rng, samples_per_class: int, tokens_per_sample: int,
-                        dim: int, radius: float = 1.0, spread: float = 0.3
+                        dim: int, radius: float = 1.0
                         ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Binary classification toy set: token clouds around two antipodal
-    directions on the radius sphere, labels one-hot."""
+    """Binary classification toy set: token clouds (noise scale 0.3) around
+    two antipodal directions on the radius sphere, labels one-hot."""
     anchor = nk.sample_hypersphere(rng, dim, 1.0)
     data = []
     for label, center in enumerate((anchor, -anchor)):
         for _ in range(samples_per_class):
             cols = []
             for _ in range(tokens_per_sample):
-                noisy = center + spread * rng.normal_vector(dim)
+                noisy = center + 0.3 * rng.normal_vector(dim)
                 cols.append(radius * noisy / float(np.linalg.norm(noisy)))
             data.append((np.stack(cols, axis=1), one_hot(label, 2)))
     return data
@@ -193,17 +198,16 @@ def _head_terms(head: np.ndarray, z: np.ndarray, labels: np.ndarray
     return float(np.sum(lse) - np.sum(labels * logits)), z @ (probs - labels.T)
 
 
-def _alternate(cfg: LoopConfig, blocks, epochs: int, eta: float,
-               advance) -> LoopTrace:
+def _alternate(cfg: LoopConfig, blocks, epochs: int, advance) -> LoopTrace:
     """The epoch loop both trainers share.
 
     A block is one sample's positions (d x Q), tokens (d x N), token mask
     (Q x N, True at the pairs left out, or None) and labels (C x Q);
     ``blocks`` are the first ones. ``advance(spec, blocks)`` returns the
     next epoch's blocks under the map ``spec`` and whether a forward
-    diverged. Per epoch the map and the head each take one step on their
-    gradients averaged over all positions; record 0 is the initialization
-    and the final positions become the iterates.
+    diverged. Per epoch the map and the head each take one ``cfg.eta`` step
+    on their gradients averaged over all positions; record 0 is the
+    initialization and the final positions become the iterates.
     """
     spec = cfg.spec
     weight = spec.pair.weight.copy()
@@ -229,9 +233,9 @@ def _alternate(cfg: LoopConfig, blocks, epochs: int, eta: float,
                           for z, tokens, mask, _ in blocks)
         head_grad = sum(_head_terms(head, z, labels)[1]
                         for z, _, _, labels in blocks)
-        weight = weight - eta * weight_grad / positions
+        weight = weight - cfg.eta * weight_grad / positions
         spec = en.EnergySpec(type(spec.pair)(weight), spec.global_energy)
-        head = head - eta * head_grad / positions
+        head = head - cfg.eta * head_grad / positions
         current = record(epoch)
         if not (np.isfinite(current.cross_entropy) and np.isfinite(current.free_energy)):
             trace.stop_reason = "diverged"
@@ -243,44 +247,40 @@ def _alternate(cfg: LoopConfig, blocks, epochs: int, eta: float,
     return trace
 
 
-def alternating_optimize(cfg: LoopConfig, dataset, epochs: int,
-                         eta: float | None = None) -> LoopTrace:
+def alternating_optimize(cfg: LoopConfig, dataset, epochs: int) -> LoopTrace:
     """Single-attention-layer training as alternating descent.
 
     Each sample carries a token matrix and a one-hot label; a classification
     query per sample (initialized to the sample's token mean) attends to all
-    of its tokens. Per epoch: one strict descent step on every query, then
-    one dataset-averaged step on the shared energy map, then one on the
-    projection head. The recorded objective is total cross-entropy plus
-    total free energy, evaluated at the end of the epoch; record 0 is the
-    initialization. The final queries are the one iterate, d x samples.
+    of its tokens. Per epoch, at rate ``cfg.eta``: one strict descent step on
+    every query, one dataset-averaged step on the shared energy map and one
+    on the projection head. The recorded objective is total cross-entropy
+    plus total free energy at the end of the epoch (record 0: the
+    initialization); the final queries are the one iterate, d x samples.
     """
-    eta = cfg.eta if eta is None else eta
     dataset = _checked(cfg, dataset, per_position=False)
 
     def advance(spec, blocks):
-        return [(z - eta * en.gradient_engine(spec, tokens)(z)[1], tokens, None, labels)
+        return [(z - cfg.eta * en.gradient_engine(spec, tokens)(z)[1], tokens, None, labels)
                 for z, tokens, _, labels in blocks], False
 
     first = [(tokens.mean(axis=1, keepdims=True), tokens, None, label[:, None])
              for tokens, label in dataset]
-    trace = _alternate(cfg, first, epochs, eta, advance)
+    trace = _alternate(cfg, first, epochs, advance)
     trace.iterates = [np.hstack(trace.iterates)] if trace.iterates else []
     return trace
 
 
-def loop_alternating_optimize(cfg: LoopConfig, dataset, epochs: int,
-                              eta: float | None = None) -> LoopTrace:
+def loop_alternating_optimize(cfg: LoopConfig, dataset, epochs: int) -> LoopTrace:
     """Loop-transformer training pass, repeated ``epochs`` times.
 
     Each sample is a token sequence with per-position one-hot labels
     (classes x positions). A pass runs the full loop forward from the raw
     tokens under the current energy map, then takes one averaged descent
     step on the map (every final position against its attended set in the
-    final iterate) and one on the projection head. The iterates are the
-    samples' final loop iterates.
+    final iterate) and one on the projection head, all at rate ``cfg.eta``.
+    The iterates are the samples' final loop iterates.
     """
-    eta = cfg.eta if eta is None else eta
     dataset = _checked(cfg, dataset, per_position=True)
 
     # position q attends to tokens 0..q when causal
@@ -288,7 +288,7 @@ def loop_alternating_optimize(cfg: LoopConfig, dataset, epochs: int,
 
     def forwards(spec):
         """Every sample's final loop iterate as its block, and whether one diverged."""
-        live = LoopConfig(spec, cfg.iterations, eta, cfg.causal, cfg.convention)
+        live = replace(cfg, spec=spec)
         traces = [loop_forward(live, tokens) for tokens, _ in dataset]
         return ([(t.iterates[-1], t.iterates[-1], mask, labels)
                  for t, mask, (_, labels) in zip(traces, masks, dataset)],
@@ -296,5 +296,5 @@ def loop_alternating_optimize(cfg: LoopConfig, dataset, epochs: int,
 
     # the initial map's forwards give record 0 and also epoch 1's blocks
     first, diverged = forwards(cfg.spec)
-    return _alternate(cfg, first, epochs, eta, lambda spec, blocks: (
+    return _alternate(cfg, first, epochs, lambda spec, blocks: (
         (blocks, diverged) if spec is cfg.spec else forwards(spec)))

@@ -32,15 +32,11 @@ def as_vector(data, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def as_matrix(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Return a finite float64 2-D row-major array with optional shape check."""
+def as_matrix(data) -> np.ndarray:
+    """Return a finite float64 2-D row-major array."""
     m = np.ascontiguousarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if rows is not None and m.shape[0] != rows:
-        raise ValueError(f"expected {rows} rows, got {m.shape[0]}")
-    if cols is not None and m.shape[1] != cols:
-        raise ValueError(f"expected {cols} cols, got {m.shape[1]}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
@@ -144,9 +140,6 @@ class Rng:
         angle = (2.0 * math.pi) * u2
         return np.concatenate([radius * np.cos(angle),
                                radius * np.sin(angle)])[:n]
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
 
     def normal_vector(self, dim: int) -> np.ndarray:
         return self.normals(dim)
@@ -304,35 +297,23 @@ def range_space_pinv(w: np.ndarray) -> np.ndarray:
 # finite differences
 # ---------------------------------------------------------------------------
 
-def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar field, coordinate by coordinate."""
-    x = as_vector(x)
-    grad = np.empty_like(x)
-    probe = x.copy()
-    for j in range(x.shape[0]):
-        probe[j] = x[j] + h
-        hi = float(f(probe))
-        probe[j] = x[j] - h
-        lo = float(f(probe))
-        probe[j] = x[j]
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ValueError("non-finite function value in finite difference")
-        grad[j] = (hi - lo) / (2.0 * h)
-    return grad
+def fd_gradient(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar field (one-row ``fd_jacobian``)."""
+    return fd_jacobian(lambda point: [float(f(point))], x)[0]
 
 
-def fd_jacobian(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of a vector field f: R^n -> R^m."""
+def fd_jacobian(f, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian (step 1e-5) of a vector field f: R^n -> R^m."""
     x = as_vector(x)
     probe = x.copy()
     cols = []
     for j in range(x.shape[0]):
-        probe[j] = x[j] + h
+        probe[j] = x[j] + 1e-5
         hi = np.asarray(f(probe), dtype=np.float64)
-        probe[j] = x[j] - h
+        probe[j] = x[j] - 1e-5
         lo = np.asarray(f(probe), dtype=np.float64)
         probe[j] = x[j]
         if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
             raise ValueError("non-finite function value in finite difference")
-        cols.append((hi - lo) / (2.0 * h))
+        cols.append((hi - lo) / 2e-5)
     return np.stack(cols, axis=1)

@@ -161,6 +161,16 @@ def test_momentum_state_dimension_mismatch():
         attn.momen_mha(params, z, tokens, attn.MomentumState.zeros(5))
 
 
+@pytest.mark.parametrize("forward", [attn.momen_mha, attn.nag_mha])
+def test_momentum_state_must_be_finite(forward):
+    params, z, tokens = _instance(11, scores="inner")
+    for bad in (np.nan, np.inf):
+        momentum = np.zeros(params.dim)
+        momentum[3] = bad
+        with pytest.raises(ValueError, match="momentum state has non-finite entries"):
+            forward(params, z, tokens, attn.MomentumState(momentum))
+
+
 # ---------------------------------------------------------------------------
 # Newton-preconditioned variants
 # ---------------------------------------------------------------------------

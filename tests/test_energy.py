@@ -827,6 +827,15 @@ def test_core_and_ops_match_dense_oracle(name):
                     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def test_per_head_spec_needs_equal_nonempty_weight_lists():
+    w = np.ones((1, 2))
+    for w_query, w_key in (((), ()), ((w,), (w, w))):
+        with pytest.raises(ValueError, match="nonempty and equally long"):
+            en.EnergySpec(en.PerHeadElastic(w_query, w_key), en.Helmholtz(1.0))
+        with pytest.raises(ValueError, match="nonempty and equally long"):
+            en.per_head_inner_spec(w_query, w_key, 1.0)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="temperature"):
         en.elastic_spec(np.eye(2), 0.0)
@@ -835,8 +844,5 @@ def test_spec_validation():
             en.elastic_spec(np.eye(2), bad)
         with pytest.raises(ValueError, match="temperature must be finite and > 0"):
             en.square_sum_spec(np.eye(2), bad)
-    with pytest.raises(ValueError, match="heads"):
-        en.EnergySpec(en.PerHeadElastic((np.ones((1, 2)),), (np.ones((1, 2)),)),
-                      en.Helmholtz(1.0), heads=2)
     with pytest.raises(ValueError, match="nonnegative"):
         en.square_sum_spec(np.eye(2), 1.0, np.array([-0.5, 1.0]))

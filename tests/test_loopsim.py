@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -175,6 +176,18 @@ def test_loop_divergence_stops_before_non_finite_iterate():
     assert np.isfinite(trace.objectives[0])
 
 
+@pytest.mark.parametrize("weight, tokens, message", [
+    (np.eye(4), np.ones((3, 5)), r"tokens must be a 4 x N matrix .* got shape \(3, 5\)"),
+    (np.eye(4), np.ones((4, 0)), r"with N >= 1, got shape \(4, 0\)"),
+    (np.eye(4), np.full((4, 2), np.nan), "tokens have non-finite entries"),
+    (np.ones((4, 3)), np.ones((3, 5)), "query and token dimensions differ: 4 != 3"),
+], ids=["token-dimension", "no-tokens", "non-finite", "spec-dimensions"])
+def test_loop_forward_rejects_bad_tokens(weight, tokens, message):
+    cfg = ls.LoopConfig(en.elastic_spec(weight, 1.0), 2, 0.1)
+    with pytest.raises(ValueError, match=message):
+        ls.loop_forward(cfg, tokens)
+
+
 # ---------------------------------------------------------------------------
 # cross-entropy head
 # ---------------------------------------------------------------------------
@@ -278,9 +291,9 @@ def test_alternating_constructed_equilibrium_is_flat():
 def test_alternating_two_cluster_training_reduces_cross_entropy():
     improved = 0
     for seed in range(5):
-        cfg, rng = _training_config(seed)
+        cfg, rng = _training_config(seed, eta=0.1)
         data = ls.two_cluster_dataset(rng, 10, 6, 8)
-        trace = ls.alternating_optimize(cfg, data, epochs=30, eta=0.1)
+        trace = ls.alternating_optimize(cfg, data, epochs=30)
         if trace.epochs[-1].cross_entropy < trace.epochs[0].cross_entropy:
             improved += 1
     assert improved >= 4
@@ -418,7 +431,7 @@ def test_loop_training_runs_each_forward_once(monkeypatch):
     # an initial forward that diverges still stops training at epoch 1
     calls.clear()
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = ls.loop_alternating_optimize(cfg, data, 3, eta=1e200)
+        trace = ls.loop_alternating_optimize(replace(cfg, eta=1e200), data, 3)
         assert any(forward(*args).stop_reason == "diverged" for args in calls)
     assert trace.stop_reason == "diverged"
     assert len(trace.epochs) == 1 and len(calls) == len(data)
