@@ -6,9 +6,10 @@ subspace versions) combined into a global objective (Helmholtz free energy
 or a gated square sum). Every operation takes the query point ``z`` and the
 token matrix (d x N, one token per column) explicitly and returns plain
 floats/arrays. One private core computes every energy, Boltzmann weight,
-log-partition and query gradient of every kind, for one query or a masked
-d x Q block; the operations are short calls into it (and reject a
-non-finite or mis-shaped query or token matrix), one formula gives every single-head map gradient, and
+log-partition and query gradient of every kind, for one query or a d x Q
+block of prefix-limited queries, taken in row tiles; the operations are
+short calls into it (and reject a non-finite or mis-shaped query or token
+matrix), one formula gives every single-head map gradient, and
 ``gradient_engine`` keeps one core for iterations: it accepts every kind and
 checks its prefix limits for both call forms.
 ``newton_step`` is the per-head Newton step of the elastic free energy, all
@@ -27,6 +28,7 @@ objectives.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,8 +121,12 @@ class EnergySpec:
             raise ValueError("temperature must be finite and > 0")
         g = self.global_energy
         if isinstance(g, WeightedSquareSum) and g.gates is not None:
-            if np.any(np.asarray(g.gates) < 0.0):
-                raise ValueError("gates must be nonnegative")
+            gates = g.gates
+            if not (isinstance(gates, np.ndarray) and gates.ndim == 1
+                    and np.issubdtype(gates.dtype, np.floating)
+                    and np.all(np.isfinite(gates)) and np.all(gates >= 0.0)):
+                raise ValueError("gates must be a finite, nonnegative 1-D float array, "
+                                 f"got {gates!r}")
 
     @property
     def temperature(self) -> float:
@@ -191,11 +197,10 @@ def upper_bound_spec(spec: EnergySpec) -> EnergySpec:
 # the energy core
 # ---------------------------------------------------------------------------
 
-def _mask_outside_prefix(limit, queries: tuple, n: int) -> np.ndarray | None:
-    """Mask of shape ``queries + (N,)``, True at (q, n) for n >= limit[q].
-
-    ``limit`` is None (no mask) or one integer in [1, N] per query. A zero
-    limit would leave a query with no tokens, whose softmax is NaN.
+def _prefix_limits(limit, queries: tuple, n: int) -> np.ndarray | None:
+    """``limit`` checked as None (every token) or one integer in [1, N] per
+    query, shape ``queries``; query q then sees tokens ``0 .. limit[q] - 1``.
+    A zero limit would leave a query with no tokens, whose softmax is NaN.
     """
     if limit is None:
         return None
@@ -208,7 +213,12 @@ def _mask_outside_prefix(limit, queries: tuple, n: int) -> np.ndarray | None:
     if limit.size and (limit.min() < 1 or limit.max() > n):
         raise ValueError(f"limits must lie in [1, {n}], got entries from "
                          f"{limit.min()} to {limit.max()}")
-    return np.arange(n) >= limit[..., None]
+    return limit
+
+
+# query rows per tile of a block evaluation: a tile's temporaries stay small
+# enough for the cache, and a causal tile scores only its rows' prefixes
+_TILE_ROWS = 64
 
 
 class _Core:
@@ -220,7 +230,9 @@ class _Core:
     energies are (..., N) single-head and (..., H, N) per head, with ...
     empty or (Q,); gradients come back shaped like ``z``. Per-head keys are
     pulled back into query space (``W1_h^T W2_h h``, d x H*N), so all heads
-    score in one product and the gradient is one product back.
+    score in one product and the gradient is one product back. ``evaluate``
+    takes a block as row tiles, not as one Q x N matrix: each tile runs
+    ``measure`` on a core over the token prefix its rows reach.
     """
 
     def __init__(self, spec: EnergySpec, tokens: np.ndarray, convention: str = "strict"):
@@ -272,20 +284,25 @@ class _Core:
         scores = z.T @ self.keys
         if self.per_head:
             scores = scores.reshape(scores.shape[:-1] + (self.heads, self.n))
+        # the arithmetic below runs in place, in the fresh scores buffer
         if self.inner:
-            return -scores
+            return np.negative(scores, out=scores)
         # the query side W1_h z of every head, (..., H, d_h); z itself single-head
         rows = (z.T if self.gram is None
                 else (self.query_map @ z).T.reshape(scores.shape[:-1] + (-1,)))
-        return 0.5 * (rows * rows).sum(axis=-1, keepdims=True) - scores + self.half_sq
+        np.subtract(0.5 * (rows * rows).sum(axis=-1, keepdims=True), scores, out=scores)
+        scores += self.half_sq
+        return scores
 
     def boltzmann(self, z: np.ndarray, mask=None) -> tuple[np.ndarray, np.ndarray]:
         """Weights softmax(-E/T) and log-partitions log sum exp(-E/T) per
-        query (and head); pairs where ``mask`` (..., N) is True get zero weight."""
-        scores = -self.energies(z) / self.t
+        query (and head); pairs where ``mask`` (..., k) is True get zero
+        weight, the mask covering the last k <= N tokens."""
+        scores = self.energies(z)
+        np.divide(scores, -self.t, out=scores)  # bitwise -(E / T)
         if mask is not None:
-            scores = np.where(mask[..., None, :] if self.per_head else mask,
-                              -np.inf, scores)
+            np.copyto(scores[..., -mask.shape[-1]:], -np.inf,
+                      where=mask[..., None, :] if self.per_head else mask)
         return nk.softmax_lse_rows(scores)
 
     def pair_grad(self, z: np.ndarray, coeff: np.ndarray, total) -> np.ndarray:
@@ -311,7 +328,7 @@ class _Core:
             energies = self.energies(z)
             coeff = self.gates * energies
             if mask is not None:
-                coeff = np.where(mask, 0.0, coeff)
+                coeff[..., -mask.shape[-1]:][mask] = 0.0
             # d/dz of -(T/2) sum g E^2 = -T sum g E dE/dz
             coeff = -t * coeff
             return 0.5 * (coeff * energies).sum(axis=-1), coeff, coeff.sum(axis=-1), None
@@ -322,7 +339,50 @@ class _Core:
         return -t * lse, weights, 1.0, weights
 
     def evaluate(self, z: np.ndarray, limit=None):
-        return self.measure(z, _mask_outside_prefix(limit, z.shape[1:], self.n))[:2]
+        """(energies, gradients) of ``z`` against its prefixes; a block runs
+        in tiles of ``_TILE_ROWS`` queries."""
+        limit = _prefix_limits(limit, z.shape[1:], self.n)
+        if z.ndim == 1:
+            return self.measure(z, None if limit is None
+                                else np.arange(self.n) >= limit)[:2]
+        if z.shape[1] <= _TILE_ROWS:
+            return self._tile(z, limit)
+        values, grads = np.empty(z.shape[1]), np.empty(z.shape)
+        for a in range(0, z.shape[1], _TILE_ROWS):
+            rows = slice(a, a + _TILE_ROWS)
+            values[rows], grads[:, rows] = self._tile(
+                z[:, rows], None if limit is None else limit[rows])
+        return values, grads
+
+    def _tile(self, z: np.ndarray, limit):
+        """(energies, gradients) of a block of at most ``_TILE_ROWS`` queries,
+        scored against the first m tokens only, m the largest limit, and
+        masked only in the columns [lo, m) past the smallest limit lo (the
+        diagonal corner of a causal tile)."""
+        if limit is None:
+            return self.measure(z)[:2]
+        m = int(limit.max(initial=1))  # an empty block still gets a token
+        lo = int(limit.min(initial=m))
+        corner = np.arange(lo, m) >= limit[:, None] if lo < m else None
+        return self._prefix(m).measure(z, corner)[:2]
+
+    def _prefix(self, m: int) -> _Core:
+        """This core over the first ``m`` tokens, sharing its projections."""
+        if m == self.n:
+            return self
+        part = copy.copy(self)
+        part.n = m
+        if self.per_head:
+            d = self.keys.shape[0]
+            part.keys = self.keys.reshape(d, self.heads, self.n)[:, :, :m].reshape(d, -1)
+        else:
+            part.keys = self.keys[:, :m]
+        if self.elastic:
+            part.half_sq = self.half_sq[..., :m]
+            part.head_keys = self.head_keys[..., :m]
+        if self.gates is not None:
+            part.gates = self.gates[:m]
+        return part
 
     def measure(self, z: np.ndarray, mask=None):
         """``evaluate`` under a token mask, plus the Boltzmann weights behind
@@ -493,10 +553,12 @@ def gradient_engine(spec: EnergySpec, tokens: np.ndarray,
     inside descent and loop iterations. ``z`` is one query (d,), with
     ``limit`` None or an int, or a d x Q block, with ``limit`` None or Q
     ints; query q sees ``tokens[:, :limit[q]]``, and a limit outside [1, N]
-    or of the wrong shape raises ``ValueError``. A block is one masked
-    Q x N score matrix per head; it returns energies (Q,) and gradients
-    d x Q. Results agree with ``energy_value``/``grad_z`` on each prefix up
-    to float reassociation (~1e-15 relative). Queries are not checked, so
+    or of the wrong shape raises ``ValueError``. A block runs in tiles of
+    query rows, each scored against only the tokens its largest limit
+    reaches, so a causal block skips the upper triangle and never holds a
+    Q x N matrix; it returns energies (Q,) and gradients d x Q. Results
+    agree with ``energy_value``/``grad_z`` on each prefix up to float
+    reassociation (~1e-15 relative). Queries are not checked, so
     an iteration sees a non-finite energy when it diverges.
     """
     return _Core(spec, tokens, convention).evaluate

@@ -215,9 +215,11 @@ def softmax(values: np.ndarray) -> np.ndarray:
 def softmax_lse_rows(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (softmax, log-sum-exp) with the same max-shift stabilization."""
     top = scores.max(axis=-1, keepdims=True)
-    shifted = np.exp(scores - top)
+    shifted = scores - top
+    np.exp(shifted, out=shifted)
     total = shifted.sum(axis=-1)
-    return shifted / total[..., None], top[..., 0] + np.log(total)
+    shifted /= total[..., None]
+    return shifted, top[..., 0] + np.log(total)
 
 
 # ---------------------------------------------------------------------------

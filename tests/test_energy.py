@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -276,6 +277,19 @@ def test_square_sum_gate_length_mismatch():
     spec = en.square_sum_spec(np.eye(2), 1.0, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="gates"):
         en.square_sum_energy(spec, np.ones(2), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("gates", [
+    [1.0, 1.0, 1.0, 1.0],
+    np.array([1.0, np.nan, 1.0, 1.0]),
+    np.array([1.0, np.inf, 1.0, 1.0]),
+    np.array([1.0, -0.5, 1.0, 1.0]),
+    np.ones((2, 2)),
+    np.ones(4, dtype=int),
+])
+def test_square_sum_gates_checked_when_the_spec_is_built(gates):
+    with pytest.raises(ValueError, match="gates must be a finite, nonnegative 1-D float"):
+        en.EnergySpec(en.InnerProduct(np.eye(4)), en.WeightedSquareSum(1.0, gates))
 
 
 def test_square_sum_all_ones_gates_match_default():
@@ -678,6 +692,66 @@ def test_gradient_engine_block_equals_vector_calls(case):
         assert np.isfinite(values[k]) and np.all(np.isfinite(grads[:, k]))
         assert values[k] == pytest.approx(value, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grads[:, k], grad, rtol=1e-12, atol=1e-12)
+
+
+def test_gradient_engine_block_equals_vector_calls_across_small_tiles(monkeypatch):
+    # the property's blocks (Q <= 6) then span up to three row tiles
+    monkeypatch.setattr(en, "_TILE_ROWS", 2)
+    test_gradient_engine_block_equals_vector_calls()
+
+
+def _assert_reassociated(got, expected):
+    """Equal to within 16 roundings of the larger of 1 and the reference's
+    largest magnitude: a tile sums the same terms over fewer masked zeros,
+    and BLAS picks its kernel, and so its summation order, by matrix width."""
+    scale = max(1.0, float(np.abs(expected).max()))
+    np.testing.assert_allclose(got, expected, rtol=0,
+                               atol=16 * np.finfo(float).eps * scale)
+
+
+@pytest.mark.parametrize("name", _ENGINE_KINDS)
+def test_block_tiles_equal_one_untiled_masked_block(name):
+    q = 3 * en._TILE_ROWS + 5
+    rng = nk.Rng(60)
+    tokens = rng.normal_matrix(8, q)
+    spec = _engine_specs(61, q)[name]
+    unsorted = np.array([1 + int(u * q) for u in rng.uniforms(q)])
+    one_tile = tokens[:, :en._TILE_ROWS]
+    for conv in ("strict", "tied"):
+        core = en._Core(spec, tokens, conv)
+        for limit in (np.arange(1, q + 1), unsorted, np.ones(q, dtype=int), None):
+            values, grads = core.evaluate(tokens, limit)
+            mask = None if limit is None else np.arange(q) >= limit[:, None]
+            expected = core.measure(tokens, mask)[:2]
+            _assert_reassociated(values, expected[0])
+            _assert_reassociated(grads, expected[1])
+            if limit is None:  # every tile scores full rows of the same product
+                assert np.array_equal(values, expected[0])
+        # a block of one tile over all its tokens is the untiled call itself
+        core = en._Core(_prefix_spec(spec, one_tile.shape[1]), one_tile, conv)
+        for limit in (np.arange(1, one_tile.shape[1] + 1), None):
+            values, grads = core.evaluate(one_tile, limit)
+            mask = None if limit is None else ~np.tri(one_tile.shape[1], dtype=bool)
+            expected = core.measure(one_tile, mask)[:2]
+            assert np.array_equal(values, expected[0])
+            assert np.array_equal(grads, expected[1])
+
+
+def test_causal_block_peak_memory_stays_far_below_n_by_n():
+    n = 2048
+    rng = np.random.default_rng(62)
+    tokens = rng.standard_normal((8, n))
+    evaluate = en.gradient_engine(en.elastic_spec(rng.standard_normal((8, 8)), 1.0),
+                                  tokens)
+    limit = np.arange(1, n + 1)
+    tracemalloc.start()
+    try:
+        evaluate(tokens, limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 N x N array is 32 MiB
+    assert peak < n * n * 8 / 8
 
 
 @pytest.mark.parametrize("limit", [-2, 0, 10, 14])
