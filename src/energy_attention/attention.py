@@ -294,10 +294,10 @@ def mha2nd_exact(params: AttentionParams, z: np.ndarray, tokens: np.ndarray,
     """Per-subspace Newton step with the exact curvature inverse.
 
     Each head applies the range-space pseudoinverse of its query map and
-    inverts the d_h x d_h bracket I - (1/T_b) sum_i p_i d_i d_i^T built from
-    centered keys d_i = k_i - kbar. Output: z - (eta/H) sum_h M_h B_h^-1
-    (q_h - kbar_h). ``eps`` >= 0 optionally regularizes the bracket (off by
-    default).
+    solves the d_h x d_h bracket I - (1/T_b) sum_i p_i d_i d_i^T, accumulated
+    over chunks of centered keys d_i = k_i - kbar. Output: z - (eta/H) sum_h
+    M_h B_h^-1 (q_h - kbar_h). ``eps`` >= 0 optionally regularizes the
+    bracket (off by default).
     """
     if not (math.isfinite(eps) and eps >= 0.0):
         raise ValueError("regularization must be finite and >= 0")

@@ -220,6 +220,10 @@ def _prefix_limits(limit, queries: tuple, n: int) -> np.ndarray | None:
 # enough for the cache, and a causal tile scores only its rows' prefixes
 _TILE_ROWS = 64
 
+# key columns per chunk of an exact Newton bracket: no N-wide copy of the keys
+# is made, and at H = 4, d_h = 64 a chunk of centred keys is 1 MiB
+_BRACKET_CHUNK = 512
+
 
 class _Core:
     """Energies, Boltzmann weights and query gradients of one spec over the
@@ -398,9 +402,9 @@ def newton_step(queries: np.ndarray, keys: np.ndarray, weights: np.ndarray,
 
     Takes head-space queries q_h (H, d_h), keys (H, d_h, N), Boltzmann
     weights (H, N) and bracket temperatures T_h (H, 1). With o_h = q_h -
-    kbar_h and C_h the weighted key covariance, "exact" returns B_h^-1 o_h
-    for B_h = (1 + eps) I - C_h / T_h, all heads inverted in one call, and
-    "taylor1" the truncation (2I - B_h) o_h = o_h + C_h o_h / T_h, inner
+    kbar_h and C_h the weighted key covariance, "exact" solves B_h x = o_h
+    for B_h = (1 + eps) I - C_h / T_h, accumulated over key chunks, all heads
+    in one call; "taylor1" returns the truncation o_h + C_h o_h / T_h, inner
     products first so its cost is linear in N (``eps`` unused). A singular
     bracket raises ``ValueError("Hessian preconditioner singular")``.
     """
@@ -411,14 +415,19 @@ def newton_step(queries: np.ndarray, keys: np.ndarray, weights: np.ndarray,
         spread = (np.matmul(keys, (weights * per_key)[:, :, None])[:, :, 0]
                   - kbar * np.sum(kbar * offsets, axis=1)[:, None])
         return offsets + spread / temps
-    centered = keys - kbar[:, :, None]
-    cov = np.matmul(centered * weights[:, None, :], centered.transpose(0, 2, 1))
-    bracket = (1.0 + eps) * np.eye(queries.shape[1]) - cov / temps[:, :, None]
+    dim = queries.shape[1]
+    roots = np.sqrt(weights / temps)
+    bracket = (1.0 + eps) * np.eye(dim)
+    for start in range(0, keys.shape[2], _BRACKET_CHUNK):
+        part = keys[:, :, start:start + _BRACKET_CHUNK] - kbar[:, :, None]
+        part *= roots[:, None, start:start + _BRACKET_CHUNK]
+        bracket = bracket - np.matmul(part, part.transpose(0, 2, 1))
     try:
-        inverse = nk.solve_inverse(bracket)
-    except ValueError as err:
+        # a symmetric matrix's singular values are its |eigenvalues|
+        nk.check_nonsingular(np.abs(np.linalg.eigvalsh(bracket)), dim)
+        return np.linalg.solve(bracket, offsets[:, :, None])[:, :, 0]
+    except (ValueError, np.linalg.LinAlgError) as err:
         raise ValueError("Hessian preconditioner singular") from err
-    return np.matmul(inverse, offsets[:, :, None])[:, :, 0]
 
 
 def _inputs(spec: EnergySpec, z, tokens) -> tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,14 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # validated constructors
 # ---------------------------------------------------------------------------
 
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry is finite: a finite sum of squares proves it; an
+    overflow, or a strided array that ``vdot`` would copy, takes a scan."""
+    if a.flags.c_contiguous and math.isfinite(np.vdot(a, a)):
+        return True
+    return bool(np.isfinite(a).all())
+
+
 def as_vector(data, dim: int | None = None) -> np.ndarray:
     """Return a finite float64 1-D array, optionally checking its length."""
     v = np.ascontiguousarray(data, dtype=np.float64)
@@ -27,7 +35,7 @@ def as_vector(data, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a vector, got ndim={v.ndim}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dim {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not _finite(v):
         raise ValueError("vector has non-finite entries")
     return v
 
@@ -37,7 +45,7 @@ def as_matrix(data) -> np.ndarray:
     m = np.ascontiguousarray(data, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not _finite(m):
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -47,7 +55,7 @@ def as_query(z, dim: int) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (dim,):
         raise ValueError(f"query must be a length-{dim} vector, got shape {z.shape}")
-    if not np.isfinite(z).all():
+    if not _finite(z):
         raise ValueError("query has non-finite entries")
     return z
 
@@ -58,7 +66,7 @@ def as_tokens(tokens, dim: int) -> np.ndarray:
     if tokens.ndim != 2 or tokens.shape[0] != dim or tokens.shape[1] < 1:
         raise ValueError(f"tokens must be a {dim} x N matrix with N >= 1, "
                          f"got shape {tokens.shape}")
-    if not np.isfinite(tokens).all():
+    if not _finite(tokens):
         raise ValueError("tokens have non-finite entries")
     return tokens
 
@@ -254,23 +262,20 @@ def sym_eigvals(a: np.ndarray) -> np.ndarray:
     return vals
 
 
-def solve_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse (``numpy.linalg.inv``) of an n x n matrix or an (H, n, n)
-    stack, behind a singularity guard.
-
-    A matrix whose smallest singular value is below sqrt(n) * 1e-12 (any
-    one in a stack) raises ``ValueError("singular matrix")``. Gaussian
-    elimination with partial pivoting meets a pivot below 1e-12 only on
-    such a matrix, since every pivot is at least sigma_min / sqrt(n).
-    """
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 3:
-        m = _square(m, "inverse")
-    elif m.shape[1] != m.shape[2] or not np.isfinite(m).all():
-        raise ValueError("inverse requires a stack of finite square matrices")
-    # the smallest singular value of the whole stack is its smallest sigma_min
-    if np.linalg.svd(m, compute_uv=False).min() < math.sqrt(m.shape[-1]) * 1e-12:
+def check_nonsingular(singular_values: np.ndarray, n: int) -> None:
+    """Raise ``ValueError("singular matrix")`` when the smallest singular
+    value of n x n matrices is below sqrt(n) * 1e-12 or NaN: only then can
+    partially pivoted elimination meet a pivot below 1e-12, since every
+    pivot is at least sigma_min / sqrt(n)."""
+    if not singular_values.min() >= math.sqrt(n) * 1e-12:
         raise ValueError("singular matrix")
+
+
+def solve_inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse (``numpy.linalg.inv``) of an n x n matrix behind the
+    ``check_nonsingular`` guard."""
+    m = _square(a, "inverse")
+    check_nonsingular(np.linalg.svd(m, compute_uv=False), m.shape[-1])
     try:
         return np.linalg.inv(m)
     except np.linalg.LinAlgError as err:

@@ -505,8 +505,7 @@ def test_mha2nd_exact_rejects_bad_regularization():
 @pytest.mark.parametrize("name", ["mha", "nag_mha", "light_mha2nd1st"])
 def test_inner_forwards_never_project_the_tokens(name):
     # a call's peak allocation stays below a quarter of one d x N float64
-    # matrix, so no head forms W_k H or W_v H (the finiteness mask of the
-    # input check, d x N booleans, is the largest array a call needs)
+    # matrix, so no head forms W_k H or W_v H
     rng = np.random.default_rng(0)
     dim, heads, n = 256, 4, 4096
     params = attn.AttentionParams(

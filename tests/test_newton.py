@@ -2,6 +2,7 @@
 the stacked multi-head forwards, against per-head oracles kept here."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,107 @@ def test_newton_step_matches_dense_per_head_oracle(caller, mode, heads):
         else:
             actual = attn.mha2nd1st(attn.tied_newton_params(params), z0, tokens)
     np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the exact bracket, accumulated over key chunks and solved
+# ---------------------------------------------------------------------------
+
+def _dense_exact_step(queries, keys, weights, temps, eps):
+    """B_h^-1 (q_h - kbar_h) from one N-wide centred copy of each head's keys."""
+    steps = []
+    for q, k, w, t in zip(queries, keys, weights, temps[:, 0]):
+        kbar = k @ w
+        centered = k - kbar[:, None]
+        bracket = (1.0 + eps) * np.eye(len(q)) - (centered * w) @ centered.T / t
+        assert np.linalg.cond(bracket) < 1e3
+        steps.append(np.linalg.solve(bracket, q - kbar))
+    return np.array(steps)
+
+
+@pytest.mark.parametrize("heads, head_dim", [(4, 64), (4, 4)])
+@pytest.mark.parametrize("count", [1, 511, 512, 513, 3 * 512 + 7])
+def test_exact_step_matches_dense_covariance(heads, head_dim, count):
+    rng = np.random.default_rng(count + head_dim)
+    queries = rng.standard_normal((heads, head_dim))
+    keys = rng.standard_normal((heads, head_dim, count)) + 0.5
+    weights = rng.random((heads, count)) ** 4
+    weights[:, count // 2] = 0.0  # an underflowed Boltzmann weight
+    weights[:, 0] += 1e-3  # every head keeps some mass at N = 1
+    weights /= weights.sum(axis=1, keepdims=True)
+    # negative definite brackets in heads 0 and 1 (T below every covariance
+    # eigenvalue), positive definite ones in heads 2 and 3
+    temps = np.array([[0.05], [0.1], [20.0], [40.0]])
+    for eps in (0.0, 0.25):
+        expected = _dense_exact_step(queries, keys, weights, temps, eps)
+        actual = en.newton_step(queries, keys, weights, temps, "exact", eps)
+        assert actual.shape == (heads, head_dim)
+        assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def _bracket_case(head_dim, smallest, seed):
+    """Four heads' keys and uniform weights whose brackets I - C_h at T = 1
+    are Q_h diag(lam_h) Q_h^T: pairs c_h +- s_j Q_h e_j give C_h = Q_h
+    diag(s_j^2 / n) Q_h^T. Head 2 has the eigenvalue ``smallest``; every
+    other eigenvalue has a modulus in [0.3, 0.9]."""
+    rng = np.random.default_rng(seed)
+    heads = 4
+    lams = rng.uniform(0.3, 0.9, (heads, head_dim)) * rng.choice([-1.0, 1.0], (heads, head_dim))
+    lams[2, 0] = smallest
+    keys = np.empty((heads, head_dim, 2 * head_dim))
+    for h in range(heads):
+        rotation = np.linalg.qr(rng.standard_normal((head_dim, head_dim)))[0]
+        spread = rotation * np.sqrt(head_dim * (1.0 - lams[h]))
+        centre = 0.3 * rng.standard_normal((head_dim, 1))
+        keys[h, :, 0::2] = centre + spread
+        keys[h, :, 1::2] = centre - spread
+    weights = np.full((heads, 2 * head_dim), 1.0 / (2 * head_dim))
+    return rng.standard_normal((heads, head_dim)), keys, weights, np.ones((heads, 1))
+
+
+@pytest.mark.parametrize("head_dim", [4, 64])
+@pytest.mark.parametrize("factor", [0.5, 2.0, -0.5, -2.0])
+def test_exact_guard_raises_where_the_svd_rule_does(head_dim, factor):
+    threshold = math.sqrt(head_dim) * 1e-12
+    queries, keys, weights, temps = _bracket_case(head_dim, factor * threshold,
+                                                  head_dim)
+    # the rule of the SVD guard, on dense brackets of the same keys
+    brackets = []
+    for k, w in zip(keys, weights):
+        centered = k - (k @ w)[:, None]
+        brackets.append(np.eye(head_dim) - (centered * w) @ centered.T)
+    singular = np.linalg.svd(np.array(brackets), compute_uv=False).min() < threshold
+    assert singular == (abs(factor) < 1.0)
+    if singular:
+        with pytest.raises(ValueError, match="Hessian preconditioner singular"):
+            en.newton_step(queries, keys, weights, temps, "exact")
+    else:
+        steps = en.newton_step(queries, keys, weights, temps, "exact")
+        assert np.all(np.isfinite(steps))
+
+
+def test_exact_forward_makes_no_n_wide_key_copy():
+    # the keys themselves (H x d_h x N, 8 MiB) are the largest array of an
+    # exact forward at d = 256, N = 4096; one centred or weighted copy of
+    # them would push the peak past 16 MiB
+    rng = np.random.default_rng(0)
+    dim, heads, n = 256, 4, 4096
+    params = attn.AttentionParams(
+        *(tuple(rng.standard_normal((dim // heads, dim)) / math.sqrt(dim)
+                for _ in range(heads)) for _ in range(3)),
+        w_out=tuple(rng.standard_normal((dim, dim // heads)) for _ in range(heads)),
+        score_temp=(16.0,) * heads, bias_temp=(16.0,) * heads)
+    z = rng.standard_normal(dim)
+    tokens = rng.standard_normal((dim, n))
+    cache = attn.range_space_cache(params)
+    attn.mha2nd_exact(params, z, tokens, cache)  # build the params' cached stacks
+    tracemalloc.start()
+    try:
+        attn.mha2nd_exact(params, z, tokens, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -346,21 +346,42 @@ def test_validators():
     assert rows.shape == (2, 3)
 
 
-def test_solve_inverse_stack_matches_each_matrix():
-    rng = nk.Rng(9)
-    stack = np.stack([rng.normal_matrix(4, 4) + 3.0 * np.eye(4) for _ in range(3)])
-    inverses = nk.solve_inverse(stack)
-    for a, inv in zip(stack, inverses):
-        np.testing.assert_allclose(inv, nk.solve_inverse(a), rtol=1e-12, atol=1e-14)
+FINITE_CHECKS = (
+    ("vector", lambda a: nk.as_vector(a), (6,), "vector has non-finite"),
+    ("matrix", lambda a: nk.as_matrix(a), (3, 5), "matrix has non-finite"),
+    ("query", lambda a: nk.as_query(a, 6), (6,), "query has non-finite"),
+    ("tokens", lambda a: nk.as_tokens(a, 3), (3, 5), "tokens have non-finite"),
+)
 
 
-def test_solve_inverse_stack_guard():
-    # one near-singular member (the same rule as for one matrix) fails the stack
-    stack = np.stack([np.eye(2), np.diag([1.0, 1e-13])])
-    with pytest.raises(ValueError, match="singular matrix"):
-        nk.solve_inverse(stack)
-    np.testing.assert_allclose(nk.solve_inverse(np.stack([np.eye(2), np.diag([1.0, 1e-10])])),
-                               np.stack([np.eye(2), np.diag([1.0, 1e10])]))
-    for bad in (np.ones((2, 2, 3)), np.stack([np.eye(2), np.full((2, 2), np.nan)])):
-        with pytest.raises(ValueError, match="finite square"):
-            nk.solve_inverse(bad)
+@pytest.mark.parametrize("name, check, shape, message", FINITE_CHECKS)
+def test_validators_reject_every_non_finite_entry(name, check, shape, message):
+    base = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+    for bad in (np.inf, -np.inf, np.nan):
+        for at in (0, base.size // 2, base.size - 1):
+            data = base.copy()
+            data.flat[at] = bad
+            for layout in (data, np.asfortranarray(data)):
+                with pytest.raises(ValueError, match=message):
+                    check(layout)
+
+
+@pytest.mark.parametrize("name, check, shape, message", FINITE_CHECKS)
+def test_validators_accept_finite_overflowing_and_strided_input(name, check, shape,
+                                                                 message):
+    base = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+    # finite entries whose squares overflow: the sum of squares is inf
+    huge = np.full(shape, 1e200)
+    huge.flat[0] = -1e200
+    np.testing.assert_array_equal(check(huge), huge)
+    wide = np.zeros((shape[0], 2 * shape[-1])) if len(shape) == 2 else np.zeros(2 * shape[0])
+    wide[..., ::2] = base
+    strided = wide[..., ::2]
+    assert not strided.flags.c_contiguous
+    for data in (np.asfortranarray(base), strided, base.astype(np.int64)):
+        out = check(data)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, base)
+    wide[..., -2] = np.nan
+    with pytest.raises(ValueError, match=message):
+        check(strided)
