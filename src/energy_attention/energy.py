@@ -415,16 +415,17 @@ def newton_step(queries: np.ndarray, keys: np.ndarray, weights: np.ndarray,
         spread = (np.matmul(keys, (weights * per_key)[:, :, None])[:, :, 0]
                   - kbar * np.sum(kbar * offsets, axis=1)[:, None])
         return offsets + spread / temps
-    dim = queries.shape[1]
     roots = np.sqrt(weights / temps)
-    bracket = (1.0 + eps) * np.eye(dim)
+    bracket = (1.0 + eps) * np.eye(queries.shape[1])
     for start in range(0, keys.shape[2], _BRACKET_CHUNK):
         part = keys[:, :, start:start + _BRACKET_CHUNK] - kbar[:, :, None]
         part *= roots[:, None, start:start + _BRACKET_CHUNK]
         bracket = bracket - np.matmul(part, part.transpose(0, 2, 1))
     try:
+        if not np.isfinite(bracket).all():  # LAPACK gets finite brackets only
+            raise ValueError("non-finite bracket")
         # a symmetric matrix's singular values are its |eigenvalues|
-        nk.check_nonsingular(np.abs(np.linalg.eigvalsh(bracket)), dim)
+        nk.check_nonsingular(np.abs(np.linalg.eigvalsh(bracket)), bracket.shape[-1])
         return np.linalg.solve(bracket, offsets[:, :, None])[:, :, 0]
     except (ValueError, np.linalg.LinAlgError) as err:
         raise ValueError("Hessian preconditioner singular") from err

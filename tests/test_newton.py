@@ -167,6 +167,30 @@ def test_exact_guard_raises_where_the_svd_rule_does(head_dim, factor):
         assert np.all(np.isfinite(steps))
 
 
+def test_exact_overflowing_bracket_is_singular_before_lapack(monkeypatch):
+    # finite keys near 1e160 overflow the chunk products; such a bracket is
+    # rejected before any LAPACK call sees it
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK called on a non-finite bracket")
+
+    keys = np.array([[[1e160, -1e160, 0.0], [0.0, 1e160, -1e160]]])
+    weights = np.array([[0.5, 0.25, 0.25]])
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+    monkeypatch.setattr(np.linalg, "solve", no_lapack)
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="Hessian preconditioner singular"):
+        en.newton_step(np.zeros((1, 2)), keys, weights, np.ones((1, 1)), "exact")
+    monkeypatch.undo()
+    params = attn.AttentionParams(
+        w_query=(np.eye(2),), w_key=(np.eye(2),), w_value=(np.eye(2),),
+        w_out=(np.eye(2),), score_temp=(1.0,), bias_temp=(1.0,))
+    tokens = np.array([[1.0, -1.0, 0.5], [0.3, 0.0, -0.7]])
+    assert np.all(np.isfinite(attn.mha2nd_exact(params, np.zeros(2), 1e150 * tokens)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="Hessian preconditioner singular"):
+        attn.mha2nd_exact(params, np.zeros(2), 1e200 * tokens)
+
+
 def test_exact_forward_makes_no_n_wide_key_copy():
     # the keys themselves (H x d_h x N, 8 MiB) are the largest array of an
     # exact forward at d = 256, N = 4096; one centred or weighted copy of

@@ -197,6 +197,41 @@ def test_solve_inverse_rejects_non_square():
         nk.solve_inverse(np.ones((2, 3)))
 
 
+def test_check_nonsingular_stack_matches_each_matrix():
+    # the guard on a stack's singular values raises exactly when one member's
+    # solve_inverse does
+    rng = nk.Rng(9)
+    for smallest in (1e-13, 1e-10, 0.5):
+        stack = np.stack([rng.normal_matrix(4, 4) + 3.0 * np.eye(4) for _ in range(3)]
+                         + [np.diag([1.0, 2.0, 3.0, smallest])])
+        singular = []
+        for a in stack:
+            try:
+                nk.solve_inverse(a)
+                singular.append(False)
+            except ValueError:
+                singular.append(True)
+        assert singular == [False, False, False, smallest < 2e-12]
+        values = np.linalg.svd(stack, compute_uv=False)
+        if any(singular):
+            with pytest.raises(ValueError, match="singular matrix"):
+                nk.check_nonsingular(values, 4)
+        else:
+            nk.check_nonsingular(values, 4)
+
+
+def test_check_nonsingular_stack_guard():
+    # one near-singular member (the same rule as for one matrix) fails the stack
+    svd = lambda stack: np.linalg.svd(stack, compute_uv=False)
+    with pytest.raises(ValueError, match="singular matrix"):
+        nk.check_nonsingular(svd(np.stack([np.eye(2), np.diag([1.0, 1e-13])])), 2)
+    nk.check_nonsingular(svd(np.stack([np.eye(2), np.diag([1.0, 1e-10])])), 2)
+    # a NaN singular value (a non-finite matrix) is never taken as nonsingular
+    for bad in (np.array([[1.0, np.nan]]), np.array([np.nan, np.nan])):
+        with pytest.raises(ValueError, match="singular matrix"):
+            nk.check_nonsingular(bad, 2)
+
+
 def test_range_space_pinv_orthonormal_rows_is_transpose():
     w = nk.orthonormal_rows(nk.Rng(8), 3, 7)
     np.testing.assert_allclose(nk.range_space_pinv(w), w.T, atol=1e-12)
